@@ -8,7 +8,7 @@
 //! polinv query <inv.pol> <lat> <lon> [--segment container|tanker|...]
 //! polinv top-dest <inv.pol> <LOCODE>
 //! polinv migrate <inv.pol> <inv.pol3>
-//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--core reactor|threaded] [--workers 8]
+//! polinv serve <inv.pol> [--addr 127.0.0.1:0] [--workers 8]
 //! ```
 //!
 //! Every reading subcommand sniffs the snapshot format: POLINV2
@@ -16,7 +16,9 @@
 //! delta-chain manifests (`pol-stream`'s output — loaded base plus
 //! deltas, merged) are accepted everywhere a `<inv.pol>` appears.
 //! `verify` on a manifest audits the whole chain file by file. `serve`
-//! memory-maps a POLINV3 file zero-copy instead of deserializing it.
+//! memory-maps a POLINV3 file zero-copy instead of deserializing it;
+//! POLINV2 and POLMAN1 inputs are decoded and re-encoded to the same
+//! columnar image in memory.
 //!
 //! While `serve` is running, its stdin is a tiny control channel: a
 //! `reload <file>` line hot-swaps the snapshot (validated first — a
@@ -48,8 +50,7 @@ fn usage() -> ExitCode {
          polinv query <file> <lat> <lon> [--segment <name>]\n  \
          polinv top-dest <file> <LOCODE>\n  \
          polinv migrate <in.pol> <out.pol3>\n  \
-         polinv serve <file> [--addr HOST:PORT] [--core reactor|threaded] [--workers N] \
-         [--shards N] [--cache N]"
+         polinv serve <file> [--addr HOST:PORT] [--workers N]"
     );
     ExitCode::from(2)
 }
@@ -383,30 +384,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         return usage();
     };
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let core = match parse_flag(args, "--core").as_deref() {
-        None | Some("reactor") => pol_serve::ServerCore::Reactor,
-        Some("threaded") => pol_serve::ServerCore::Threaded,
-        Some(other) => {
-            eprintln!("error: --core must be 'reactor' or 'threaded', got {other}");
-            return ExitCode::FAILURE;
-        }
-    };
     let config = pol_serve::ServerConfig {
-        core,
         worker_threads: parse_flag(args, "--workers")
             .and_then(|v| v.parse().ok())
             .unwrap_or(8),
-        shards: parse_flag(args, "--shards")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        cache_capacity: parse_flag(args, "--cache")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256),
         ..pol_serve::ServerConfig::default()
     };
     // start_snapshot sniffs the format: a POLINV3 file is memory-mapped
     // zero-copy (validated, not deserialized), POLINV2 takes the full
-    // decode + shard path.
+    // decode + columnar re-encode path.
     let started = std::time::Instant::now();
     let mut server = match pol_serve::Server::start_snapshot(Path::new(path), addr.as_str(), config)
     {

@@ -3,24 +3,21 @@
 //! ```text
 //! polload [--addr HOST:PORT] [--threads 8] [--requests 20000]
 //!         [--vessels 150] [--days 14] [--seed 42] [--workers 8]
-//!         [--store heap|mmap] [--batch N] [--min-rps X]
-//!         [--server-core reactor|threaded]
-//!         [--out figures/BENCH_serve.json]
+//!         [--batch N] [--min-rps X] [--out figures/BENCH_serve.json]
 //! polload --connections 10000 [--idle-frac 0.95] [--addr HOST:PORT] ...
 //! polload --conn-sweep [--threads 8] [--requests 20000] ...
 //! polload --chaos [--threads 4] [--requests 2000] [--vessels N] ...
 //! ```
 //!
 //! Without `--addr`, polload builds a res-6 fleetsim inventory in
-//! process, saves it as both a POLINV2 and a (migrated) POLINV3
-//! snapshot, measures the cold start (load-to-READY) of each format,
-//! starts a server over the `--store` backend (`heap` deserializes the
-//! POLINV2 file, `mmap` zero-copy-maps the POLINV3 file) on an ephemeral
-//! loopback port, drives it, and shuts it down — the self-contained form
-//! the CI smoke test runs. With `--addr` it drives an already-running
-//! server (`polinv serve`).
+//! process, saves it as both a POLINV2 and a POLINV3 snapshot, measures
+//! the cold start (load-to-READY) of each format (POLINV2 is decoded and
+//! re-encoded columnar in memory, POLINV3 is memory-mapped), serves the
+//! POLINV3 file on an ephemeral loopback port, drives it, and shuts it
+//! down — the self-contained form the CI smoke test runs. With `--addr`
+//! it drives an already-running server (`polinv serve`).
 //!
-//! `--batch N` adds protocol-v3 batch phases (`N` sub-requests per
+//! `--batch N` adds batch phases (`N` sub-requests per
 //! frame); their `rps` counts sub-requests, their latency quantiles are
 //! per *frame*. `--min-rps X` exits non-zero unless the gate phase
 //! (`route_summary_batch` when batching, else `point_summary`) reached
@@ -33,11 +30,13 @@
 //! and point-summary throughput is measured *while* the readiness table
 //! carries all N. Without `--addr` the server runs in a spawned child
 //! process (`--serve-only`, an internal mode) so the 10k+ descriptor
-//! budget is split across two processes. `--conn-sweep` runs the matrix
-//! both server cores x {100, 1k, 10k} connections after the normal
-//! endpoint phases and records it under `"open_connections"` in the
-//! JSON. With `--connections`, `--min-rps` gates on the connection
-//! phase's throughput instead.
+//! budget is split across two processes. `--conn-sweep` runs the
+//! {100, 1k, 10k}-connection matrix after the normal endpoint phases and
+//! records it under `"open_connections"` in the JSON; rows of the
+//! deleted thread-per-connection core found in the previous `--out` file
+//! are carried forward under `"threaded_core_baseline"`. With
+//! `--connections`, `--min-rps` gates on the connection phase's
+//! throughput instead.
 //!
 //! `--chaos` (needs a build with `--features pol-bench/chaos`) runs the
 //! fault-injection self-test instead: failpoints kill connection workers
@@ -57,7 +56,7 @@ use pol_core::PipelineConfig;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::ScenarioConfig;
 use pol_hexgrid::{cell_center, CellIndex, Resolution};
-use pol_serve::{Client, ClientError, Server, ServerConfig, ServerCore};
+use pol_serve::{Client, ClientError, Server, ServerConfig};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -191,7 +190,6 @@ struct ColdStart {
 /// One open-connection scalability measurement: point-summary load
 /// driven while `connections` sockets (mostly idle) are held open.
 struct ConnRow {
-    core: &'static str,
     connections: usize,
     idle: usize,
     requests: u64,
@@ -213,6 +211,9 @@ fn write_bench_json(
     cold: Option<&ColdStart>,
     top_dest_before_rps: Option<f64>,
 ) -> std::io::Result<()> {
+    let historical = std::fs::read_to_string(path)
+        .map(|t| threaded_baseline(&t))
+        .unwrap_or_default();
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"pol-serve loopback load\",")?;
@@ -232,19 +233,18 @@ fn write_bench_json(
         )?;
     }
     if !conn_rows.is_empty() {
-        // The scalability matrix: throughput with N sockets held open,
-        // per server core. `shed_at_loop` / `peak_open` come from the
-        // server's own STATS counters, not client bookkeeping.
+        // The scalability matrix: throughput with N sockets held open.
+        // `shed_at_loop` / `peak_open` come from the server's own STATS
+        // counters, not client bookkeeping.
         writeln!(f, "  \"open_connections\": [")?;
         for (i, r) in conn_rows.iter().enumerate() {
             let comma = if i + 1 < conn_rows.len() { "," } else { "" };
             writeln!(
                 f,
-                "    {{\"core\": \"{}\", \"connections\": {}, \"idle\": {}, \
+                "    {{\"core\": \"reactor\", \"connections\": {}, \"idle\": {}, \
                  \"requests\": {}, \"busy\": {}, \"wall_secs\": {:.4}, \
                  \"rps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
                  \"peak_open\": {}, \"shed_at_loop\": {}}}{comma}",
-                r.core,
                 r.connections,
                 r.idle,
                 r.requests,
@@ -257,6 +257,16 @@ fn write_bench_json(
                 r.shed_at_loop
             )?;
         }
+        writeln!(f, "  ],")?;
+    }
+    if !historical.is_empty() {
+        writeln!(
+            f,
+            "  \"threaded_core_baseline_note\": \"historical: the thread-per-connection \
+             core, since deleted; measured before the reactor became the only core\","
+        )?;
+        writeln!(f, "  \"threaded_core_baseline\": [")?;
+        writeln!(f, "    {}", historical.join(",\n    "))?;
         writeln!(f, "  ],")?;
     }
     writeln!(f, "  \"endpoints\": [")?;
@@ -283,15 +293,15 @@ fn write_bench_json(
     f.flush()
 }
 
-/// Parses `--server-core`, defaulting to the reactor.
-fn parse_core(args: &[String]) -> Result<(ServerCore, &'static str), String> {
-    match parse_flag(args, "--server-core").as_deref() {
-        None | Some("reactor") => Ok((ServerCore::Reactor, "reactor")),
-        Some("threaded") => Ok((ServerCore::Threaded, "threaded")),
-        Some(other) => Err(format!(
-            "--server-core must be 'reactor' or 'threaded', got {other}"
-        )),
-    }
+/// Rows of the deleted thread-per-connection core in a previously
+/// written `BENCH_serve.json`, verbatim — the labelled historical
+/// baseline for the `open_connections` matrix.
+fn threaded_baseline(previous: &str) -> Vec<String> {
+    previous
+        .lines()
+        .filter(|l| l.contains("\"core\": \"threaded\""))
+        .map(|l| l.trim().trim_end_matches(',').to_string())
+        .collect()
 }
 
 /// Internal child mode for the two-process connection bench: serve one
@@ -304,15 +314,7 @@ fn run_serve_only(args: &[String]) -> ExitCode {
         eprintln!("error: --serve-only needs a snapshot path");
         return ExitCode::FAILURE;
     };
-    let (core, _) = match parse_core(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let config = ServerConfig {
-        core,
         worker_threads: parse_or(args, "--workers", 8),
         max_pending: parse_or(args, "--max-pending", ServerConfig::default().max_pending),
         ..ServerConfig::default()
@@ -346,7 +348,6 @@ struct ServeChild {
 impl ServeChild {
     fn spawn(
         snapshot: &std::path::Path,
-        core_label: &str,
         workers: usize,
         max_pending: usize,
     ) -> Result<ServeChild, String> {
@@ -355,8 +356,6 @@ impl ServeChild {
         let mut child = std::process::Command::new(exe)
             .arg("--serve-only")
             .arg(snapshot)
-            .arg("--server-core")
-            .arg(core_label)
             .arg("--workers")
             .arg(workers.to_string())
             .arg("--max-pending")
@@ -404,7 +403,6 @@ impl ServeChild {
 /// server's readiness table carries the full set.
 fn run_connection_phase(
     addr: SocketAddr,
-    core: &'static str,
     connections: usize,
     idle_frac: f64,
     threads: usize,
@@ -415,18 +413,18 @@ fn run_connection_phase(
     let idle = ((connections as f64 * idle_frac).round() as usize).min(connections - 1);
     let active = connections - idle;
     let threads = threads.clamp(1, active);
-    eprintln!("[{core}] opening {idle} idle + {active} active connections against {addr}...");
+    eprintln!("[conn] opening {idle} idle + {active} active connections against {addr}...");
     let mut idle_socks = Vec::with_capacity(idle);
     for i in 0..idle {
         match std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(5)) {
             Ok(s) => idle_socks.push(s),
-            Err(e) => return Err(format!("[{core}] idle connect {}/{idle}: {e}", i + 1)),
+            Err(e) => return Err(format!("[conn] idle connect {}/{idle}: {e}", i + 1)),
         }
         if (i + 1) % 2500 == 0 {
-            eprintln!("[{core}]   {} idle sockets open", i + 1);
+            eprintln!("[conn]   {} idle sockets open", i + 1);
         }
     }
-    let pool = position_pool(addr).map_err(|e| format!("[{core}] position pool: {e}"))?;
+    let pool = position_pool(addr).map_err(|e| format!("[conn] position pool: {e}"))?;
     let pool = &pool;
     let per_thread = (requests / threads).max(1);
     let busy = AtomicU64::new(0);
@@ -445,7 +443,7 @@ fn run_connection_phase(
                     for _ in 0..owned {
                         clients.push(
                             Client::connect(addr)
-                                .map_err(|e| format!("[{core}] active connect: {e}"))?,
+                                .map_err(|e| format!("[conn] active connect: {e}"))?,
                         );
                     }
                     let mut lats = Vec::with_capacity(per_thread);
@@ -460,7 +458,7 @@ fn run_connection_phase(
                             Err(ClientError::ServerBusy) => {
                                 busy.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(e) => return Err(format!("[{core}] query failed: {e}")),
+                            Err(e) => return Err(format!("[conn] query failed: {e}")),
                         }
                     }
                     Ok(lats)
@@ -479,11 +477,10 @@ fn run_connection_phase(
     // while the idle fleet is still connected so peak_open reflects it.
     let report = Client::connect(addr)
         .and_then(|mut c| c.stats())
-        .map_err(|e| format!("[{core}] stats fetch: {e}"))?;
+        .map_err(|e| format!("[conn] stats fetch: {e}"))?;
     drop(idle_socks);
     let requests = all.len() as u64;
     Ok(ConnRow {
-        core,
         connections,
         idle,
         requests,
@@ -499,22 +496,12 @@ fn run_connection_phase(
 
 fn print_conn_rows(rows: &[ConnRow]) {
     println!(
-        "\n{:<9} {:>11} {:>6} {:>9} {:>6} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "core",
-        "connections",
-        "idle",
-        "requests",
-        "busy",
-        "rps",
-        "p50_us",
-        "p99_us",
-        "peak_open",
-        "shed"
+        "\n{:>11} {:>6} {:>9} {:>6} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "connections", "idle", "requests", "busy", "rps", "p50_us", "p99_us", "peak_open", "shed"
     );
     for r in rows {
         println!(
-            "{:<9} {:>11} {:>6} {:>9} {:>6} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8}",
-            r.core,
+            "{:>11} {:>6} {:>9} {:>6} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8}",
             r.connections,
             r.idle,
             r.requests,
@@ -525,17 +512,6 @@ fn print_conn_rows(rows: &[ConnRow]) {
             r.peak_open,
             r.shed_at_loop
         );
-    }
-}
-
-/// Workers a serve child needs: the threaded core parks one worker per
-/// connection for the connection's lifetime, so it must be sized for
-/// the whole fleet (that cost *is* the thread-per-connection model the
-/// sweep measures). The reactor keeps its small fixed pool.
-fn child_workers(core: ServerCore, connections: usize, threads: usize, workers: usize) -> usize {
-    match core {
-        ServerCore::Threaded => connections + threads + 16,
-        ServerCore::Reactor => workers,
     }
 }
 
@@ -823,13 +799,6 @@ fn run_connection_bench(args: &[String]) -> ExitCode {
     let requests: usize = parse_or(args, "--requests", 20_000).max(1);
     let workers: usize = parse_or(args, "--workers", 8);
     let min_rps: Option<f64> = parse_flag(args, "--min-rps").and_then(|v| v.parse().ok());
-    let (core, core_label) = match parse_core(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let out_path = parse_flag(args, "--out")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| pol_bench::figures_dir().join("BENCH_serve.json"));
@@ -837,9 +806,7 @@ fn run_connection_bench(args: &[String]) -> ExitCode {
     let mut snap_dir: Option<std::path::PathBuf> = None;
     let result = match parse_flag(args, "--addr") {
         Some(a) => match a.parse() {
-            Ok(addr) => {
-                run_connection_phase(addr, core_label, connections, idle_frac, threads, requests)
-            }
+            Ok(addr) => run_connection_phase(addr, connections, idle_frac, threads, requests),
             Err(_) => {
                 eprintln!("error: cannot parse --addr {a}");
                 return ExitCode::FAILURE;
@@ -861,21 +828,10 @@ fn run_connection_bench(args: &[String]) -> ExitCode {
             codec::columnar::save(&out.inventory, &v3_path).expect("save POLINV3 snapshot");
             snap_dir = Some(dir);
             drop(out);
-            match ServeChild::spawn(
-                &v3_path,
-                core_label,
-                child_workers(core, connections, threads, workers),
-                ServerConfig::default().max_pending,
-            ) {
+            match ServeChild::spawn(&v3_path, workers, ServerConfig::default().max_pending) {
                 Ok(child) => {
-                    let row = run_connection_phase(
-                        child.addr,
-                        core_label,
-                        connections,
-                        idle_frac,
-                        threads,
-                        requests,
-                    );
+                    let row =
+                        run_connection_phase(child.addr, connections, idle_frac, threads, requests);
                     child.stop();
                     row
                 }
@@ -923,8 +879,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: polload [--addr HOST:PORT] [--threads N] [--requests N] \
              [--vessels N] [--days D] [--seed S] [--workers N] \
-             [--store heap|mmap] [--batch N] [--min-rps X] \
-             [--server-core reactor|threaded] [--out FILE]\n       \
+             [--batch N] [--min-rps X] [--out FILE]\n       \
              polload --connections N [--idle-frac F] [--addr HOST:PORT] [--min-rps X] ...\n       \
              polload --conn-sweep [--threads N] [--requests N] ...\n       \
              polload --chaos [--threads N] [--requests N] [--vessels N] [--days D] [--seed S]"
@@ -942,25 +897,13 @@ fn main() -> ExitCode {
         return run_connection_bench(&args);
     }
     if conn_sweep && parse_flag(&args, "--addr").is_some() {
-        eprintln!("error: --conn-sweep spawns its own servers (one per core); drop --addr");
+        eprintln!("error: --conn-sweep spawns its own servers; drop --addr");
         return ExitCode::FAILURE;
     }
     let threads: usize = parse_or(&args, "--threads", 8).max(1);
     let requests: usize = parse_or(&args, "--requests", 20_000).max(1);
-    let (core, core_label) = match parse_core(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let batch: usize = parse_or(&args, "--batch", 0).min(pol_serve::MAX_BATCH);
     let min_rps: Option<f64> = parse_flag(&args, "--min-rps").and_then(|v| v.parse().ok());
-    let store_choice = parse_flag(&args, "--store").unwrap_or_else(|| "heap".to_string());
-    if store_choice != "heap" && store_choice != "mmap" {
-        eprintln!("error: --store must be 'heap' or 'mmap', got {store_choice}");
-        return ExitCode::FAILURE;
-    }
     let out_path = parse_flag(&args, "--out")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| pol_bench::figures_dir().join("BENCH_serve.json"));
@@ -1000,8 +943,8 @@ fn main() -> ExitCode {
                 out.inventory.total_records()
             );
             // Write both snapshot formats so cold start can be compared
-            // and the chosen backend served from a real file, exactly
-            // like production `polinv migrate` + `polinv serve`.
+            // and the POLINV3 file served, exactly like production
+            // `polinv migrate` + `polinv serve`.
             let dir = std::env::temp_dir().join(format!("polload-snap-{}", std::process::id()));
             std::fs::create_dir_all(&dir).expect("create snapshot dir");
             let v2_path = dir.join("inv.pol");
@@ -1012,21 +955,21 @@ fn main() -> ExitCode {
             drop(out);
 
             let server_config = || ServerConfig {
-                core,
                 worker_threads: workers,
                 ..ServerConfig::default()
             };
             // Cold start = open snapshot to accepting-connections READY.
             let t = Instant::now();
-            let heap_server = Server::start_snapshot(&v2_path, "127.0.0.1:0", server_config())
-                .expect("heap server start");
+            let mut v2_server = Server::start_snapshot(&v2_path, "127.0.0.1:0", server_config())
+                .expect("POLINV2 server start");
             let v2_heap_ms = t.elapsed().as_secs_f64() * 1e3;
+            v2_server.shutdown();
             let t = Instant::now();
             let mmap_server = Server::start_snapshot(&v3_path, "127.0.0.1:0", server_config())
                 .expect("mmap server start");
             let v3_mmap_ms = t.elapsed().as_secs_f64() * 1e3;
             eprintln!(
-                "cold start (load-to-READY): POLINV2 heap {v2_heap_ms:.1} ms, \
+                "cold start (load-to-READY): POLINV2 decode+encode {v2_heap_ms:.1} ms, \
                  POLINV3 mmap {v3_mmap_ms:.1} ms ({:.1}x)",
                 v2_heap_ms / v3_mmap_ms.max(1e-9)
             );
@@ -1034,21 +977,14 @@ fn main() -> ExitCode {
                 v2_heap_ms,
                 v3_mmap_ms,
             });
-
-            let (keep, mut retire) = if store_choice == "mmap" {
-                (mmap_server, heap_server)
-            } else {
-                (heap_server, mmap_server)
-            };
-            retire.shutdown();
-            store_label = store_choice.clone();
-            let addr = keep.local_addr();
-            own_server = Some(keep);
+            store_label = "mmap".to_string();
+            let addr = mmap_server.local_addr();
+            own_server = Some(mmap_server);
             addr
         }
     };
     eprintln!(
-        "driving {addr} ({store_label} store, {core_label} core) with {threads} threads x \
+        "driving {addr} ({store_label} store) with {threads} threads x \
          {requests} point-summary requests"
     );
 
@@ -1117,7 +1053,7 @@ fn main() -> ExitCode {
     .expect("load phase failed");
 
     if batch >= 2 {
-        // Protocol-v3 batch phases: one frame carries `batch`
+        // Batch phases: one frame carries `batch`
         // sub-requests, amortising the per-frame syscall + framing cost.
         // rps counts sub-requests so it is comparable with the
         // single-frame phases above.
@@ -1204,33 +1140,21 @@ fn main() -> ExitCode {
         let v3_path = dir.join("inv.pol3");
         let workers: usize = parse_or(&args, "--workers", 8);
         let idle_frac: f64 = parse_or(&args, "--idle-frac", 0.95_f64).clamp(0.0, 0.999);
-        for (sweep_core, label) in [
-            (ServerCore::Reactor, "reactor"),
-            (ServerCore::Threaded, "threaded"),
-        ] {
-            for n in [100usize, 1_000, 10_000] {
-                let spawned = ServeChild::spawn(
-                    &v3_path,
-                    label,
-                    child_workers(sweep_core, n, threads, workers),
-                    ServerConfig::default().max_pending,
-                );
-                let row = match spawned {
-                    Ok(child) => {
-                        let row = run_connection_phase(
-                            child.addr, label, n, idle_frac, threads, requests,
-                        );
-                        child.stop();
-                        row
-                    }
-                    Err(e) => Err(e),
-                };
-                match row {
-                    Ok(r) => conn_rows.push(r),
-                    Err(e) => {
-                        eprintln!("error: sweep cell {label}/{n} failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+        for n in [100usize, 1_000, 10_000] {
+            let spawned = ServeChild::spawn(&v3_path, workers, ServerConfig::default().max_pending);
+            let row = match spawned {
+                Ok(child) => {
+                    let row = run_connection_phase(child.addr, n, idle_frac, threads, requests);
+                    child.stop();
+                    row
+                }
+                Err(e) => Err(e),
+            };
+            match row {
+                Ok(r) => conn_rows.push(r),
+                Err(e) => {
+                    eprintln!("error: sweep cell {n} failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
         }

@@ -16,9 +16,19 @@ use pol_core::{codec, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::{generate, ScenarioConfig};
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The allocation counter is process-global, so a test running beside
+/// another would count the other's allocations too. Every test holds
+/// this lock for its whole run (a failed test poisons it; the next one
+/// carries on).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// The CI smoke workload (matches `ci.sh`'s polbuild invocation scale).
 fn scenario() -> ScenarioConfig {
@@ -36,6 +46,7 @@ fn scenario() -> ScenarioConfig {
 
 #[test]
 fn fused_steady_state_allocations_stay_pinned() {
+    let _serial = serial();
     let ds = generate(&scenario());
     let raw: u64 = ds.positions.iter().map(|p| p.len() as u64).sum();
     assert!(raw > 10_000, "workload too small to be meaningful: {raw}");
@@ -80,6 +91,7 @@ fn fused_steady_state_allocations_stay_pinned() {
 /// well under the old fused baseline too.
 #[test]
 fn staged_pipeline_allocations_stay_reduced() {
+    let _serial = serial();
     let ds = generate(&scenario());
     let cfg = PipelineConfig::default();
     let engine = Engine::new(2);

@@ -1,4 +1,4 @@
-//! Per-connection state machine for the reactor core.
+//! Per-connection state machine for the reactor.
 //!
 //! A reactor connection is a pair of pumps over a nonblocking socket:
 //! the *read side* feeds readiness-triggered bytes through a
@@ -334,7 +334,8 @@ mod tests {
     #[test]
     fn write_buffer_matches_write_frame_bytes_exactly() {
         // The buffer's framing must be byte-identical to the blocking
-        // path's write_frame, or the two cores would diverge on the wire.
+        // path's write_frame (the client's), or the two ends would
+        // disagree on the wire.
         let payload = b"identical bytes please";
         let mut direct = Vec::new();
         write_frame(&mut direct, payload).unwrap();

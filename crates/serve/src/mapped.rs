@@ -1,10 +1,12 @@
-//! The zero-copy read store over a memory-mapped POLINV3 snapshot.
+//! The read store: a validated POLINV3 columnar image, queried in place.
 //!
-//! Where [`crate::store::ShardedStore`] deserializes a whole snapshot
-//! into heap maps before the first query, `MappedStore` maps the file
-//! ([`crate::mmap::MappedFile`]), validates the columnar layout once
-//! ([`Layout::parse`] — CRCs, seal, sortedness; no sketch decoding),
-//! and then answers:
+//! `MappedStore` holds the columnar bytes in a [`MappedFile`] — a live
+//! memory map when opened from a POLINV3 file ([`MappedStore::open`]),
+//! a heap buffer when built from an in-process inventory or a legacy
+//! POLINV2/POLMAN1 input ([`MappedStore::from_bytes`] over
+//! [`pol_core::codec::columnar::to_bytes`]). Either way the layout is
+//! validated once ([`Layout::parse`] — CRCs, seal, sortedness; no
+//! sketch decoding), and then it answers:
 //!
 //! * point lookups by binary search over the sorted fixed-stride key
 //!   column of the right grouping-set section, decoding exactly one
@@ -15,11 +17,11 @@
 //!   `(dest, segment, cell)` top-dest section — one contiguous run,
 //!   no stats decoded.
 //!
-//! Cold start is the headline win: load-to-READY is the mmap + one
-//! validation pass instead of decoding every sketch of every entry.
-//! Every answer is bit-identical to the heap store's — both decode the
-//! same canonical stats bytes — which the loopback and migration tests
-//! pin.
+//! Cold start from a file is the mmap plus one validation pass instead
+//! of decoding every sketch of every entry. Every answer is
+//! bit-identical to the [`pol_core::Inventory`] it was encoded from —
+//! both decode the same canonical stats bytes — which the loopback and
+//! `tests/mapped.rs` equivalence tests pin for both backings.
 //!
 //! The store counts its work (`lookups`, `scan_entries`,
 //! `decode_errors`) and surfaces the counters through the STATS
@@ -52,8 +54,8 @@ pub struct MappedCounters {
     pub decode_errors: u64,
 }
 
-/// A read-only query store backed by a validated, memory-mapped
-/// POLINV3 snapshot.
+/// A read-only query store over a validated POLINV3 image, memory-mapped
+/// or heap-resident.
 pub struct MappedStore {
     file: MappedFile,
     layout: Layout,
@@ -68,7 +70,17 @@ impl MappedStore {
     /// The validation reads the mapped bytes themselves, so there is no
     /// gap between what was checked and what is served.
     pub fn open(path: &Path) -> Result<MappedStore, CodecError> {
-        let file = MappedFile::open(path)?;
+        MappedStore::over(MappedFile::open(path)?)
+    }
+
+    /// Validates a POLINV3 image already in memory (typically
+    /// [`pol_core::codec::columnar::to_bytes`] of an in-process
+    /// inventory) and serves it from the heap.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<MappedStore, CodecError> {
+        MappedStore::over(MappedFile::from_vec(bytes))
+    }
+
+    fn over(file: MappedFile) -> Result<MappedStore, CodecError> {
         let layout = Layout::parse(file.bytes())?;
         Ok(MappedStore {
             file,
@@ -79,10 +91,21 @@ impl MappedStore {
         })
     }
 
-    /// Whether the bytes are served from a live memory map (false on
-    /// the heap fallback for platforms without mmap).
+    /// Whether the bytes are served from a live memory map (false for
+    /// [`MappedStore::from_bytes`] and the heap fallback on platforms
+    /// without mmap).
     pub fn is_mapped(&self) -> bool {
         self.file.is_mapped()
+    }
+
+    /// A short name for metrics and logs: `mapped-columnar` over a live
+    /// memory map, `heap-columnar` otherwise.
+    pub fn name(&self) -> &'static str {
+        if self.is_mapped() {
+            "mapped-columnar"
+        } else {
+            "heap-columnar"
+        }
     }
 
     /// Total group-identifier entries across the grouping sections.
@@ -101,12 +124,15 @@ impl MappedStore {
     }
 
     /// The store's work counters (lookups, scan entries, decode errors).
-    pub fn counters(&self) -> MappedCounters {
-        MappedCounters {
+    /// Always `Some`: the `Option` is kept only so callers written
+    /// against the earlier two-store API (`perfbench`'s
+    /// `store().mapped_counters().unwrap_or_default()`) still compile.
+    pub fn mapped_counters(&self) -> Option<MappedCounters> {
+        Some(MappedCounters {
             lookups: self.lookups.load(Ordering::Relaxed),
             scan_entries: self.scan_entries.load(Ordering::Relaxed),
             decode_errors: self.decode_errors.load(Ordering::Relaxed),
-        }
+        })
     }
 
     fn reader(&self, span: &GroupSpan) -> Option<SectionReader<'_>> {
@@ -128,8 +154,7 @@ impl MappedStore {
     }
 
     /// Occupied cells whose centre falls inside a bounding box, sorted
-    /// by raw cell index for a canonical reply (same order as
-    /// [`crate::store::ShardedStore::cells_in`]).
+    /// by raw cell index for a canonical reply.
     pub fn cells_in(&self, bbox: &BBox) -> Vec<CellIndex> {
         let Some(lat) = LatIndexReader::new(self.file.bytes(), &self.layout) else {
             return Vec::new();

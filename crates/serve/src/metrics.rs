@@ -47,7 +47,7 @@ pub enum Endpoint {
     Health,
     /// Readiness probe (accepting and serving traffic).
     Ready,
-    /// A protocol-v3 batch frame (children are *not* double-counted
+    /// A batch frame (children are *not* double-counted
     /// under their own endpoints; the whole frame is one batch request).
     Batch,
 }
@@ -144,7 +144,7 @@ pub struct EndpointStats {
 
 /// A point-in-time snapshot of the server's counters — the `STATS`
 /// endpoint's reply body.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsReport {
     /// Requests decoded and executed (any endpoint).
     pub total_requests: u64,
@@ -154,10 +154,6 @@ pub struct StatsReport {
     pub malformed_frames: u64,
     /// Connections accepted.
     pub connections: u64,
-    /// Aggregate-query cache hits (bbox scans, top-destination filters).
-    pub cache_hits: u64,
-    /// Aggregate-query cache misses.
-    pub cache_misses: u64,
     /// Live snapshot generation (see [`HealthReport::generation`]).
     pub generation: u64,
     /// Successful hot snapshot reloads.
@@ -165,15 +161,14 @@ pub struct StatsReport {
     /// Rejected hot reloads (corrupt or unreadable file; the previous
     /// snapshot stayed live).
     pub reloads_failed: u64,
-    /// Sub-requests carried inside protocol-v3 `BATCH` frames (each
+    /// Sub-requests carried inside `BATCH` frames (each
     /// batch frame counts once under [`Endpoint::Batch`]; this counter
     /// accounts its children).
     pub batched_requests: u64,
-    /// Point lookups the mapped store answered by binary search over the
-    /// snapshot file (zero on the heap backend).
+    /// Point lookups the store answered by binary search over its
+    /// columnar image.
     pub mapped_lookups: u64,
-    /// Section entries / lat-index rows the mapped store touched during
-    /// scans (zero on the heap backend).
+    /// Section entries / lat-index rows the store touched during scans.
     pub mapped_scan_entries: u64,
     /// Newest delta generation merged into the live snapshot (0 when the
     /// snapshot was not loaded from a delta chain).
@@ -184,25 +179,24 @@ pub struct StatsReport {
     /// Whole seconds since the last successful hot reload (since process
     /// start if none happened yet) — the streaming-freshness signal.
     pub since_reload_secs: u64,
-    /// Connections currently open on the server (reactor core tracks
-    /// this exactly; the threaded core counts admitted connections).
+    /// Connections currently open on the server.
     pub open_connections: u64,
     /// High-water mark of `open_connections` over the server's lifetime.
     pub peak_connections: u64,
-    /// Readiness events delivered by `epoll_wait` to the reactor loop
-    /// (zero on the threaded core).
+    /// Readiness events delivered by `epoll_wait` to the reactor loop.
     pub ready_events: u64,
     /// Cross-thread eventfd wakeups the reactor consumed — each one is a
     /// worker handing completed responses back to the loop.
     pub wakeups: u64,
     /// Requests shed with `Busy` by the event loop's admission check
-    /// (a subset of `busy_rejections`; zero on the threaded core, which
-    /// sheds whole connections at accept instead).
+    /// (a subset of `busy_rejections`, which also counts sockets turned
+    /// away over `max_connections`).
     pub shed_at_loop: u64,
     /// Largest per-connection write buffer observed, bytes — how far a
     /// slow reader ever got behind before `EPOLLOUT` caught it up.
     pub write_buffer_high_water: u64,
-    /// The live store backend ("sharded-heap" or "mapped-columnar").
+    /// The live store: "mapped-columnar" (a memory-mapped POLINV3 file)
+    /// or "heap-columnar" (an image encoded in memory).
     pub store: String,
     /// Per-endpoint counters, in [`Endpoint::ALL`] order, endpoints with
     /// zero traffic omitted.
@@ -230,13 +224,8 @@ impl StatsReport {
         );
         let _ = writeln!(
             out,
-            "busy={} malformed={} cache_hit={} cache_miss={} reloads_ok={} reloads_failed={}",
-            self.busy_rejections,
-            self.malformed_frames,
-            self.cache_hits,
-            self.cache_misses,
-            self.reloads_ok,
-            self.reloads_failed
+            "busy={} malformed={} reloads_ok={} reloads_failed={}",
+            self.busy_rejections, self.malformed_frames, self.reloads_ok, self.reloads_failed
         );
         let _ = writeln!(
             out,
@@ -303,8 +292,6 @@ pub struct ServerMetrics {
     busy_rejections: AtomicU64,
     malformed_frames: AtomicU64,
     connections: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     generation: AtomicU64,
     reloads_ok: AtomicU64,
     reloads_failed: AtomicU64,
@@ -340,8 +327,6 @@ impl ServerMetrics {
             busy_rejections: AtomicU64::new(0),
             malformed_frames: AtomicU64::new(0),
             connections: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             generation: AtomicU64::new(1),
             reloads_ok: AtomicU64::new(0),
             reloads_failed: AtomicU64::new(0),
@@ -429,16 +414,6 @@ impl ServerMetrics {
     /// The open-connection gauge, as served in `STATS`.
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// Counts an aggregate-cache hit.
-    pub fn incr_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an aggregate-cache miss.
-    pub fn incr_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Accounts `n` sub-requests carried by one `BATCH` frame.
@@ -537,8 +512,6 @@ impl ServerMetrics {
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             generation: self.generation(),
             reloads_ok: self.reloads_ok.load(Ordering::Relaxed),
             reloads_failed: self.reloads_failed.load(Ordering::Relaxed),
@@ -630,14 +603,10 @@ mod tests {
         m.record(Endpoint::PointSummary, Duration::from_micros(300));
         m.record(Endpoint::Eta, Duration::from_micros(900));
         m.incr_busy();
-        m.incr_cache_hit();
-        m.incr_cache_miss();
         m.incr_connections();
         let snap = m.snapshot();
         assert_eq!(snap.total_requests, 3);
         assert_eq!(snap.busy_rejections, 1);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
         assert_eq!(snap.connections, 1);
         assert_eq!(snap.endpoints.len(), 2); // zero-traffic endpoints omitted
         let point = &snap.endpoints[0];

@@ -118,6 +118,15 @@ impl MappedFile {
         })
     }
 
+    /// Wraps bytes already in memory — the heap backing, no file behind
+    /// it. This is how an in-process inventory is served: encoded once,
+    /// then read exactly like a mapped snapshot.
+    pub fn from_vec(bytes: Vec<u8>) -> MappedFile {
+        MappedFile {
+            backing: Backing::Heap(bytes),
+        }
+    }
+
     /// The file's bytes.
     pub fn bytes(&self) -> &[u8] {
         match &self.backing {

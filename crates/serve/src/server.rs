@@ -1,75 +1,60 @@
-//! The concurrent TCP query server.
+//! The TCP query server: one [`InventoryService`] behind an epoll
+//! event loop.
 //!
-//! One accept thread admits connections onto a bounded
-//! [`pol_engine::ThreadPool`]; each worker owns its connection for its
-//! lifetime and speaks the length-prefixed protocol of [`crate::proto`].
-//! Admission is capped at `worker_threads + max_pending`: a connection
-//! over the cap is answered with a typed [`Response::Busy`] frame and
-//! closed instead of queueing unboundedly — load sheds at the edge, it
-//! does not pile up.
+//! [`Server::start`] (an in-process [`Inventory`]) and
+//! [`Server::start_snapshot`] (a POLINV3, POLINV2 or POLMAN1 file) both
+//! end in the same place: a [`MappedStore`] over a validated POLINV3
+//! image, pinned per request behind an `RwLock<Arc<_>>` so a hot reload
+//! swaps it between requests and never under one. The
+//! [`crate::reactor`] event loop owns every socket and hands decoded
+//! requests to a bounded worker pool; admission beyond
+//! `worker_threads + max_pending` is shed per request with a typed
+//! [`Response::Busy`], and sockets beyond `max_connections` are turned
+//! away with one.
 //!
-//! Graceful shutdown: [`Server::shutdown`] raises a stop flag and pokes
-//! the listener with a loopback connect to unblock `accept`. Connection
-//! workers notice the flag at their next socket read timeout (the
-//! read-timeout interval doubles as the shutdown poll granularity) and
-//! drain; dropping the pool joins them.
+//! The event loop is built before `start*` returns, so an
+//! `epoll_create1`/`eventfd` failure is that call's `io::Error`. Serving
+//! needs epoll, so it runs on Linux; elsewhere `start*` returns
+//! [`io::ErrorKind::Unsupported`].
+//!
+//! Graceful shutdown: [`Server::shutdown`] flips `READY` to false, raises
+//! the stop flag and joins the loop, which stops accepting, answers
+//! in-flight and already-buffered requests, and closes connections as
+//! they go idle — bounded by `drain_timeout`.
 
 use crate::mapped::MappedStore;
 use crate::metrics::ServerMetrics;
-use crate::proto::{
-    decode_request, encode_response, write_frame, FrameAccumulator, ProtoError, Request, Response,
-    DEFAULT_MAX_FRAME_BYTES,
-};
-use crate::store::{CacheKey, QueryCache, ShardedStore, StoreBackend};
-use parking_lot::{Mutex, RwLock};
+use crate::proto::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
+use parking_lot::RwLock;
 use pol_apps::destination::DestinationPredictor;
 use pol_apps::eta::EtaEstimator;
-use pol_core::codec::{CodecError, SnapshotFormat};
+use pol_core::codec::{columnar, CodecError, SnapshotFormat};
 use pol_core::{Inventory, InventoryQuery};
 use pol_engine::metrics::StageReport;
-use pol_engine::ThreadPool;
 use pol_geo::{BBox, LatLon};
-use pol_hexgrid::cell_at;
+use pol_hexgrid::{cell_at, CellIndex};
 use std::borrow::Cow;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving core drives connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerCore {
-    /// One pool worker owns each connection for its lifetime — the
-    /// original thread-per-connection core. Simple, but open sockets are
-    /// bounded by the admission cap.
-    Threaded,
-    /// One epoll event loop owns every socket and the pool only executes
-    /// requests ([`crate::reactor`]): tens of thousands of mostly-idle
-    /// connections cost no threads. On platforms without epoll this
-    /// falls back to [`ServerCore::Threaded`] at startup.
-    Reactor,
-}
 
 /// Tunables for [`Server::start`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Which serving core drives connections.
-    pub core: ServerCore,
-    /// Connection worker threads (each owns one connection at a time).
+    /// Request-execution worker threads.
     pub worker_threads: usize,
-    /// Admitted-but-unserved connections tolerated beyond the workers
-    /// before new arrivals are shed with [`Response::Busy`].
+    /// Requests admitted beyond the busy workers before new ones are
+    /// shed with [`Response::Busy`].
     pub max_pending: usize,
-    /// Hash shards for the read store.
-    pub shards: usize,
-    /// Aggregate-query cache entries (0 disables the cache).
-    pub cache_capacity: usize,
-    /// Socket read timeout; also the shutdown-flag poll interval.
+    /// Event-loop tick: the shutdown and stall poll interval (capped at
+    /// 100 ms).
     pub read_timeout: Duration,
-    /// Socket write timeout.
+    /// How long a connection may owe bytes without the peer reading
+    /// any before it is closed as stalled.
     pub write_timeout: Duration,
     /// Per-frame size cap, both directions.
     pub max_frame_bytes: usize,
@@ -78,25 +63,21 @@ pub struct ServerConfig {
     /// until the connection goes idle at a frame boundary or this
     /// deadline passes — whichever comes first.
     pub drain_timeout: Duration,
-    /// Open-socket ceiling for the reactor core (the threaded core's
-    /// admission cap bounds its sockets already). Arrivals beyond it get
-    /// a typed [`Response::Busy`] and a close.
+    /// Open-socket ceiling. Arrivals beyond it get a typed
+    /// [`Response::Busy`] and a close.
     pub max_connections: usize,
     /// How long a frame may sit partially assembled before the
     /// connection is closed as stalled. The clock anchors to the frame's
     /// *first* byte, so a slow-loris peer dripping one byte per interval
-    /// cannot keep resetting it. Both cores enforce it.
+    /// cannot keep resetting it.
     pub stall_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            core: ServerCore::Reactor,
             worker_threads: 8,
             max_pending: 64,
-            shards: 8,
-            cache_capacity: 256,
             read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(5),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -107,53 +88,47 @@ impl Default for ServerConfig {
     }
 }
 
-/// The query-execution core: a store backend (sharded heap or mapped
-/// columnar), the aggregate cache, and the metrics sink. Shared by every
-/// connection worker; also usable directly (without sockets) for
+/// The query-execution core: the store and the metrics sink. Shared by
+/// every pool worker; also usable directly (without sockets) for
 /// in-process querying and tests.
 pub struct InventoryService {
-    store: StoreBackend,
-    cache: Mutex<QueryCache>,
+    store: MappedStore,
     metrics: Arc<ServerMetrics>,
 }
 
 impl InventoryService {
-    /// Builds the service, sharding `inventory` and recording the build
-    /// as a `StageReport` on `metrics`.
-    pub fn new(inventory: Inventory, config: &ServerConfig, metrics: Arc<ServerMetrics>) -> Self {
-        let records = inventory.len() as u64;
+    /// Builds the service over an in-process inventory: encodes it to a
+    /// POLINV3 image ([`columnar::to_bytes`]) and serves that from the
+    /// heap, recording the encode as a `columnar-encode` `StageReport`.
+    pub fn new(inventory: Inventory, metrics: Arc<ServerMetrics>) -> Result<Self, CodecError> {
         let started = Instant::now();
-        let store = ShardedStore::new(inventory, config.shards.max(1));
+        let store = MappedStore::from_bytes(columnar::to_bytes(&inventory))?;
         metrics.record_stage(StageReport {
-            name: "shard-build".into(),
-            input_records: records,
+            name: "columnar-encode".into(),
+            input_records: inventory.total_records(),
             output_records: store.len() as u64,
             shuffled_records: 0,
             wall: started.elapsed(),
         });
-        InventoryService {
-            store: StoreBackend::Sharded(store),
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
-            metrics,
-        }
+        Ok(InventoryService { store, metrics })
     }
 
-    /// Opens a snapshot file behind the right backend, sniffing its
-    /// format: a POLINV3 file is memory-mapped zero-copy (validated, not
-    /// deserialized — the cold-start win), a POLMAN1 delta-chain
-    /// manifest is loaded base-plus-deltas into the sharded heap store
-    /// (recording the chain lineage for the `STATS` freshness fields),
-    /// and anything else goes through the full POLINV2 decode into the
-    /// sharded heap store. Every path records its startup cost as a
-    /// `StageReport`.
+    /// Opens a snapshot file, sniffing its format: a POLINV3 file is
+    /// memory-mapped zero-copy (validated, not deserialized — the cold
+    /// start win); a POLMAN1 delta-chain manifest is loaded
+    /// base-plus-deltas (recording the chain lineage for the `STATS`
+    /// freshness fields) and a POLINV2 file decoded, each then encoded
+    /// like [`InventoryService::new`]. Every path records its startup
+    /// cost as a `StageReport`. `_config` is unused: nothing in
+    /// [`ServerConfig`] shapes the store.
     pub fn open_snapshot(
         path: &Path,
-        config: &ServerConfig,
+        _config: &ServerConfig,
         metrics: Arc<ServerMetrics>,
     ) -> Result<Self, CodecError> {
-        match pol_core::codec::sniff_file(path)? {
+        let started = Instant::now();
+        let inventory = match pol_core::codec::sniff_file(path)? {
             Some(SnapshotFormat::V3) => {
-                let started = Instant::now();
                 let store = MappedStore::open(path)?;
                 metrics.record_stage(StageReport {
                     name: "mmap-open".into(),
@@ -163,14 +138,9 @@ impl InventoryService {
                     wall: started.elapsed(),
                 });
                 metrics.set_chain(0, 1);
-                Ok(InventoryService {
-                    store: StoreBackend::Mapped(store),
-                    cache: Mutex::new(QueryCache::new(config.cache_capacity)),
-                    metrics,
-                })
+                return Ok(InventoryService { store, metrics });
             }
             Some(SnapshotFormat::Manifest) => {
-                let started = Instant::now();
                 let (inventory, info) = pol_core::codec::manifest::load_chain(path)?;
                 metrics.record_stage(StageReport {
                     name: "chain-load".into(),
@@ -180,10 +150,9 @@ impl InventoryService {
                     wall: started.elapsed(),
                 });
                 metrics.set_chain(info.generation, info.chain_len);
-                Ok(InventoryService::new(inventory, config, metrics))
+                inventory
             }
             _ => {
-                let started = Instant::now();
                 let inventory = pol_core::codec::load(path)?;
                 metrics.record_stage(StageReport {
                     name: "snapshot-load".into(),
@@ -193,13 +162,14 @@ impl InventoryService {
                     wall: started.elapsed(),
                 });
                 metrics.set_chain(0, 1);
-                Ok(InventoryService::new(inventory, config, metrics))
+                inventory
             }
-        }
+        };
+        InventoryService::new(inventory, metrics)
     }
 
-    /// The underlying store backend.
-    pub fn store(&self) -> &StoreBackend {
+    /// The read store. Always the columnar [`MappedStore`].
+    pub fn store(&self) -> &MappedStore {
         &self.store
     }
 
@@ -246,30 +216,11 @@ impl InventoryService {
                 max_lat,
                 max_lon,
             } => match BBox::new(*min_lat, *min_lon, *max_lat, *max_lon) {
-                Some(bbox) => {
-                    let key = CacheKey::Bbox([
-                        min_lat.to_bits(),
-                        min_lon.to_bits(),
-                        max_lat.to_bits(),
-                        max_lon.to_bits(),
-                    ]);
-                    let cells = self.cached(key, || {
-                        self.store.cells_in(&bbox).iter().map(|c| c.raw()).collect()
-                    });
-                    Response::Cells(cells.to_vec())
-                }
+                Some(bbox) => Response::Cells(raw(self.store.cells_in(&bbox))),
                 None => Response::Error("invalid bounding box".into()),
             },
             Request::TopDestinationCells { dest, segment } => {
-                let key = CacheKey::TopDest(*dest, segment.map(|s| s.id()));
-                let cells = self.cached(key, || {
-                    self.store
-                        .cells_with_top_destination(*dest, *segment)
-                        .iter()
-                        .map(|c| c.raw())
-                        .collect()
-                });
-                Response::Cells(cells.to_vec())
+                Response::Cells(raw(self.store.cells_with_top_destination(*dest, *segment)))
             }
             Request::Eta {
                 lat,
@@ -301,13 +252,12 @@ impl InventoryService {
             }
             Request::Stats => {
                 // The metrics snapshot knows nothing about the store;
-                // fill in the backend identity and its read counters.
+                // fill in its identity and read counters.
                 let mut report = self.metrics.snapshot();
                 report.store = self.store.name().to_string();
-                if let Some(c) = self.store.mapped_counters() {
-                    report.mapped_lookups = c.lookups;
-                    report.mapped_scan_entries = c.scan_entries;
-                }
+                let counters = self.store.mapped_counters().unwrap_or_default();
+                report.mapped_lookups = counters.lookups;
+                report.mapped_scan_entries = counters.scan_entries;
                 Response::Stats(report)
             }
             Request::Health => Response::Health(self.metrics.health()),
@@ -322,33 +272,23 @@ impl InventoryService {
             }
         }
     }
+}
 
-    fn cached<F: FnOnce() -> Vec<u64>>(&self, key: CacheKey, compute: F) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.cache.lock().get(&key) {
-            self.metrics.incr_cache_hit();
-            return hit;
-        }
-        // Compute outside the lock: a slow scan must not serialize every
-        // other aggregate query behind it (the race just recomputes).
-        self.metrics.incr_cache_miss();
-        let value = Arc::new(compute());
-        self.cache.lock().put(key, Arc::clone(&value));
-        value
-    }
+fn raw(cells: Vec<CellIndex>) -> Vec<u64> {
+    cells.into_iter().map(|c| c.raw()).collect()
 }
 
 /// A running server. Dropping it shuts it down.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
+    loop_handle: Option<JoinHandle<()>>,
     metrics: Arc<ServerMetrics>,
     service: Arc<RwLock<Arc<InventoryService>>>,
-    config: ServerConfig,
 }
 
 impl Server {
-    /// Loads `inventory` into a sharded service and starts serving on
+    /// Encodes `inventory` into an in-memory store and starts serving on
     /// `addr` (use port 0 for an ephemeral port; the bound address is
     /// available from [`Server::local_addr`]).
     pub fn start<A: ToSocketAddrs>(
@@ -357,14 +297,15 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         let metrics = Arc::new(ServerMetrics::new());
-        let service = InventoryService::new(inventory, &config, Arc::clone(&metrics));
+        let service =
+            InventoryService::new(inventory, Arc::clone(&metrics)).map_err(invalid_data)?;
         Server::start_with_service(service, metrics, addr, config)
     }
 
-    /// Starts serving straight off a snapshot file, sniffing its format:
-    /// POLINV3 is memory-mapped zero-copy (validate, don't deserialize),
-    /// POLINV2 is fully decoded into the sharded heap store. This is the
-    /// fast cold-start path `polinv serve` uses.
+    /// Starts serving straight off a snapshot file, sniffing its format
+    /// like [`InventoryService::open_snapshot`]: POLINV3 is memory-mapped
+    /// zero-copy (validate, don't deserialize) — the fast cold-start
+    /// path `polinv serve` uses.
     pub fn start_snapshot<A: ToSocketAddrs>(
         path: &Path,
         addr: A,
@@ -372,7 +313,7 @@ impl Server {
     ) -> io::Result<Server> {
         let metrics = Arc::new(ServerMetrics::new());
         let service = InventoryService::open_snapshot(path, &config, Arc::clone(&metrics))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            .map_err(invalid_data)?;
         Server::start_with_service(service, metrics, addr, config)
     }
 
@@ -386,34 +327,19 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_metrics = Arc::clone(&metrics);
-        let accept_service = Arc::clone(&service);
-        let accept_handle = thread::Builder::new()
-            .name("pol-serve-accept".into())
-            .spawn(move || match config.core {
-                ServerCore::Reactor => crate::reactor::run(
-                    listener,
-                    accept_service,
-                    config,
-                    accept_stop,
-                    accept_metrics,
-                ),
-                ServerCore::Threaded => accept_loop(
-                    listener,
-                    accept_service,
-                    config,
-                    accept_stop,
-                    accept_metrics,
-                ),
-            })?;
+        let loop_handle = spawn_event_loop(
+            listener,
+            Arc::clone(&service),
+            config,
+            Arc::clone(&stop),
+            Arc::clone(&metrics),
+        )?;
         Ok(Server {
             addr: local,
             stop,
-            accept_handle: Some(accept_handle),
+            loop_handle: Some(loop_handle),
             metrics,
             service,
-            config,
         })
     }
 
@@ -428,33 +354,36 @@ impl Server {
     }
 
     /// Hot-swaps the served snapshot for `inventory` without dropping a
-    /// single connection: the new inventory is sharded off to the side,
+    /// single connection: the new inventory is encoded off to the side,
     /// then an atomic `Arc` swap makes it the live snapshot. Requests
     /// already executing finish on the old snapshot (their clone keeps
     /// it alive); every frame decoded after the swap sees the new one.
-    /// The generation counter in `STATS`/`HEALTH` advances.
-    pub fn reload(&self, inventory: Inventory) {
-        let fresh = Arc::new(InventoryService::new(
-            inventory,
-            &self.config,
-            Arc::clone(&self.metrics),
-        ));
-        *self.service.write() = fresh;
-        self.metrics.set_chain(0, 1);
-        self.metrics.reload_succeeded();
+    /// The generation counter in `STATS`/`HEALTH` advances. An encoding
+    /// that fails validation is returned as an error, `reloads_failed`
+    /// advances, and the previous snapshot keeps serving.
+    pub fn reload(&self, inventory: Inventory) -> Result<(), CodecError> {
+        self.swap_in(InventoryService::new(inventory, Arc::clone(&self.metrics)))
+            .map(|()| self.metrics.set_chain(0, 1))
     }
 
     /// Hot-reloads the snapshot from an inventory file, sniffing its
-    /// format like [`Server::start_snapshot`] (a POLINV3 file swaps in a
-    /// fresh mapped store; a POLMAN1 manifest merges its base + delta
-    /// chain and records the lineage in the `STATS` freshness fields;
-    /// POLINV2 decodes into the heap store). A corrupt, truncated, or
-    /// unreadable file — anywhere in a chain — is rejected by the
-    /// codec's checksums *before* anything is swapped: the error is
-    /// returned, `reloads_failed` advances, and the previous snapshot
-    /// keeps serving untouched.
+    /// format like [`Server::start_snapshot`] (a POLMAN1 manifest merges
+    /// its base + delta chain and records the lineage in the `STATS`
+    /// freshness fields). A corrupt, truncated, or unreadable file —
+    /// anywhere in a chain — is rejected by the codec's checksums
+    /// *before* anything is swapped: the error is returned,
+    /// `reloads_failed` advances, and the previous snapshot keeps
+    /// serving untouched.
     pub fn reload_from(&self, path: &Path) -> Result<(), CodecError> {
-        match InventoryService::open_snapshot(path, &self.config, Arc::clone(&self.metrics)) {
+        self.swap_in(InventoryService::open_snapshot(
+            path,
+            &ServerConfig::default(),
+            Arc::clone(&self.metrics),
+        ))
+    }
+
+    fn swap_in(&self, fresh: Result<InventoryService, CodecError>) -> Result<(), CodecError> {
+        match fresh {
             Ok(service) => {
                 *self.service.write() = Arc::new(service);
                 self.metrics.reload_succeeded();
@@ -472,13 +401,12 @@ impl Server {
     pub fn shutdown(&mut self) {
         if !self.stop.swap(true, Ordering::Relaxed) {
             // Mark the server draining first so READY flips before the
-            // listener goes away, then unblock the accept() call; the
-            // loop re-checks the flag before handling whatever this
-            // connect delivers.
+            // listener goes away, then poke the listener so the loop
+            // wakes now rather than at its next tick.
             self.metrics.set_draining();
             let _ = TcpStream::connect(self.addr);
         }
-        if let Some(handle) = self.accept_handle.take() {
+        if let Some(handle) = self.loop_handle.take() {
             let _ = handle.join();
         }
     }
@@ -490,214 +418,39 @@ impl Drop for Server {
     }
 }
 
-/// Releases one admission slot when dropped. Holding the decrement in a
-/// `Drop` guard (instead of a statement after `handle_connection`) keeps
-/// the admission count honest even when a connection worker panics — an
-/// injected `serve.worker.kill` fault unwinds through the pool's
-/// `catch_unwind`, and without the guard every kill would leak a slot
-/// until the cap starved the server into rejecting everyone. The
-/// reactor core reuses it per *request* for the same reason: a killed
-/// worker must still release its slot.
-pub(crate) struct AdmitGuard(pub(crate) Arc<AtomicUsize>);
-
-impl Drop for AdmitGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
+fn invalid_data(e: CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-pub(crate) fn accept_loop(
+/// Builds the event loop on the caller's thread — so an `epoll_create1`
+/// or `eventfd` failure is the caller's error — then runs it on its own.
+#[cfg(target_os = "linux")]
+fn spawn_event_loop(
     listener: TcpListener,
     service: Arc<RwLock<Arc<InventoryService>>>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
-) {
-    let workers = config.worker_threads.max(1);
-    let pool = ThreadPool::new(workers);
-    let admitted = Arc::new(AtomicUsize::new(0));
-    let admit_cap = workers + config.max_pending;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if admitted.fetch_add(1, Ordering::Relaxed) >= admit_cap {
-            admitted.fetch_sub(1, Ordering::Relaxed);
-            metrics.incr_busy();
-            reject_busy(stream, &config);
-            continue;
-        }
-        let guard = AdmitGuard(Arc::clone(&admitted));
-        metrics.incr_connections();
-        let service = Arc::clone(&service);
-        let conn_stop = Arc::clone(&stop);
-        let conn_metrics = Arc::clone(&metrics);
-        let submitted = pool.execute(move || {
-            let _admitted = guard;
-            handle_connection(stream, &service, &config, &conn_stop, &conn_metrics);
-        });
-        if submitted.is_err() {
-            // Pool shut down underneath us (the rejected closure was
-            // dropped, releasing its guard); stop accepting.
-            break;
-        }
-    }
-    // Dropping the pool joins the workers; they observe the stop flag at
-    // their next read timeout and drain.
-    drop(pool);
+) -> io::Result<JoinHandle<()>> {
+    let event_loop = crate::reactor::EventLoop::new(listener, service, config, stop, metrics)?;
+    std::thread::Builder::new()
+        .name("pol-serve-reactor".into())
+        .spawn(move || event_loop.run())
 }
 
-pub(crate) fn reject_busy(stream: TcpStream, config: &ServerConfig) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let payload = encode_response(&Response::Busy);
-    let _ = write_frame(&mut stream, &payload);
-    let _ = stream.flush();
-}
-
-/// Decrements the open-connection gauge when dropped, so the gauge
-/// stays honest through every exit path including a chaos-killed worker
-/// unwinding.
-struct ConnGauge<'a>(&'a ServerMetrics);
-
-impl Drop for ConnGauge<'_> {
-    fn drop(&mut self) {
-        self.0.conn_closed();
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    service: &RwLock<Arc<InventoryService>>,
-    config: &ServerConfig,
-    stop: &AtomicBool,
-    metrics: &ServerMetrics,
-) {
-    metrics.conn_opened();
-    let _gauge = ConnGauge(metrics);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut acc = FrameAccumulator::new();
-    // Once shutdown is requested the connection does not slam shut: it
-    // keeps serving until it is idle at a frame boundary (a request the
-    // server accepted gets its answer) or the drain deadline passes
-    // (a peer streaming forever cannot hold shutdown hostage).
-    let mut drain_deadline: Option<Instant> = None;
-    // Frame-assembly deadline: anchored to the first byte of the frame
-    // in progress, never refreshed by later drips, so a slow-loris peer
-    // cannot stretch one frame forever (same rule as the reactor core).
-    let mut frame_started: Option<Instant> = None;
-    loop {
-        if stop.load(Ordering::Relaxed) && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + config.drain_timeout);
-        }
-        if drain_deadline.is_some_and(|d| Instant::now() >= d) {
-            break;
-        }
-        if frame_started.is_some_and(|t| t.elapsed() > config.stall_timeout) {
-            break;
-        }
-        if pol_chaos::fire("serve.conn.read_delay") {
-            // An Err action models the transport dying under the reader.
-            break;
-        }
-        match acc.poll(&mut reader, config.max_frame_bytes) {
-            Ok(Some(payload)) => {
-                frame_started = None;
-                // The snapshot is resolved per frame: a hot reload swaps
-                // the Arc between requests, never under one.
-                let snapshot = Arc::clone(&service.read());
-                if !serve_frame(&payload, &snapshot, &mut writer, metrics) {
-                    break;
-                }
-            }
-            Ok(None) => {
-                if frame_started.is_none() && acc.is_partial() {
-                    frame_started = Some(Instant::now());
-                }
-            }
-            Err(ProtoError::Io(e))
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Read timeout: no bytes lost (the accumulator keeps its
-                // partial frame); loop around to poll the stop flag. A
-                // draining connection that hits a timeout with no frame
-                // in progress is idle — safe to close.
-                if frame_started.is_none() && acc.is_partial() {
-                    frame_started = Some(Instant::now());
-                }
-                if drain_deadline.is_some() && !acc.is_partial() {
-                    break;
-                }
-            }
-            Err(ProtoError::FrameTooLarge(n)) => {
-                metrics.incr_malformed();
-                let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
-                let _ = write_response(&mut writer, &resp);
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Decodes, executes, and answers one frame. Returns `false` when the
-/// connection should close (malformed input or a dead peer).
-fn serve_frame<W: Write>(
-    payload: &[u8],
-    service: &InventoryService,
-    writer: &mut W,
-    metrics: &ServerMetrics,
-) -> bool {
-    let started = Instant::now();
-    if pol_chaos::fire("serve.worker.kill") {
-        // Err action: the worker aborts this connection without a reply
-        // (the Kill action panics inside `fire` instead and is contained
-        // by the pool's catch_unwind; either way no locks are held here).
-        return false;
-    }
-    match decode_request(payload) {
-        Ok(req) => {
-            let endpoint = req.endpoint();
-            let resp = service.execute(&req);
-            let ok = write_response(writer, &resp);
-            metrics.record(endpoint, started.elapsed());
-            ok
-        }
-        Err(e) => {
-            // A peer that cannot frame a request correctly gets one typed
-            // error, then the socket: resynchronising a corrupt binary
-            // stream is not worth the attack surface.
-            metrics.incr_malformed();
-            let _ = write_response(writer, &Response::Error(e.to_string()));
-            false
-        }
-    }
-}
-
-fn write_response<W: Write>(writer: &mut W, resp: &Response) -> bool {
-    let payload = encode_response(resp);
-    write_frame(writer, &payload)
-        .and_then(|()| writer.flush())
-        .is_ok()
+/// Serving needs epoll; without it there is nothing to start.
+#[cfg(not(target_os = "linux"))]
+fn spawn_event_loop(
+    _listener: TcpListener,
+    _service: Arc<RwLock<Arc<InventoryService>>>,
+    _config: ServerConfig,
+    _stop: Arc<AtomicBool>,
+    _metrics: Arc<ServerMetrics>,
+) -> io::Result<JoinHandle<()>> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "pol-serve serves through epoll and runs on Linux only",
+    ))
 }
 
 #[cfg(test)]
@@ -713,8 +466,7 @@ mod tests {
 
     #[test]
     fn invalid_arguments_yield_typed_errors() {
-        let cfg = ServerConfig::default();
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::new(ServerMetrics::new()));
+        let svc = InventoryService::new(empty_inventory(), Arc::new(ServerMetrics::new())).unwrap();
         for req in [
             Request::PointSummary {
                 lat: 95.0,
@@ -746,28 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_queries_hit_the_cache_on_repeat() {
-        let cfg = ServerConfig::default();
-        let metrics = Arc::new(ServerMetrics::new());
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::clone(&metrics));
-        let req = Request::TopDestinationCells {
-            dest: 7,
-            segment: None,
-        };
-        svc.execute(&req);
-        svc.execute(&req);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.cache_hits, 1);
-    }
-
-    #[test]
     fn stats_request_reports_stage_accounting() {
-        let cfg = ServerConfig::default();
         let metrics = Arc::new(ServerMetrics::new());
-        let svc = InventoryService::new(empty_inventory(), &cfg, Arc::clone(&metrics));
+        let svc = InventoryService::new(empty_inventory(), Arc::clone(&metrics)).unwrap();
         match svc.execute(&Request::Stats) {
-            Response::Stats(report) => assert!(report.stages.contains("shard-build")),
+            Response::Stats(report) => assert!(report.stages.contains("columnar-encode")),
             other => panic!("expected stats, got {other:?}"),
         }
     }

@@ -16,13 +16,20 @@ use pol_core::Inventory;
 use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_serve::proto::{decode_response, read_frame, write_frame, Request, Response};
-use pol_serve::{
-    Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig, ServerCore,
-};
+use pol_serve::{Client, ClientConfig, ClientError, ProtoError, RetryPolicy, Server, ServerConfig};
 use pol_sketch::hash::FxHashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The failpoint registry is process-global, so two tests arming or
+/// `reset()`ing it at once would disarm each other's faults. Every test
+/// holds this lock for its whole run (a failed test poisons it; the
+/// next one carries on).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn res() -> Resolution {
     Resolution::new(6).unwrap()
@@ -101,6 +108,7 @@ fn is_retryable_kind(e: &ClientError) -> bool {
 
 #[test]
 fn fleet_survives_kills_delays_and_corrupt_reload() {
+    let _serial = serial();
     const N: usize = 400;
     const FLEET: usize = 4;
     const QUERIES: usize = 60;
@@ -252,8 +260,8 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
 /// event loop.
 #[test]
 fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
+    let _serial = serial();
     let config = ServerConfig {
-        core: ServerCore::Reactor,
         worker_threads: 1,
         max_pending: 0,
         read_timeout: Duration::from_millis(25),
@@ -318,8 +326,8 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
 /// exactly the interleaving where the pop-path shed fires.
 #[test]
 fn shed_at_pop_answers_every_pipelined_frame() {
+    let _serial = serial();
     let config = ServerConfig {
-        core: ServerCore::Reactor,
         worker_threads: 1,
         max_pending: 0, // admission cap of exactly one slot
         read_timeout: Duration::from_millis(25),
@@ -388,6 +396,7 @@ fn shed_at_pop_answers_every_pipelined_frame() {
 /// server still admits new connections (the `AdmitGuard` contract).
 #[test]
 fn killed_workers_do_not_leak_admission_slots() {
+    let _serial = serial();
     let config = ServerConfig {
         worker_threads: 2,
         max_pending: 1,

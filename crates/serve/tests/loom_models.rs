@@ -4,16 +4,16 @@
 //! does exactly this). Without `--cfg loom` the file compiles to
 //! nothing, so the models never slow the tier-1 suite.
 //!
-//! Each model re-states a primitive from `server.rs` / `pol_engine`'s
-//! pool in loom's shim types, at the granularity where its race lives.
+//! Each model re-states a primitive from `server.rs` / `reactor.rs` /
+//! `pol_engine`'s pool in loom's shim types, at the granularity where its race lives.
 //! The checker then executes every interleaving (up to the preemption
 //! bound) — a green run is a proof over that schedule space:
 //!
 //! 1. [`hot_reload_never_tears_a_query`] — the `RwLock<Arc<_>>` swap in
 //!    `Server::reload` vs a query pinning the snapshot.
-//! 2. [`admit_guard_never_leaks_a_slot`] — the accept-loop admission
+//! 2. [`admit_guard_never_leaks_a_slot`] — the reactor's admission
 //!    counter survives a worker kill that unwinds through
-//!    `catch_unwind`, and a concurrent rejected connection.
+//!    `catch_unwind`, and a concurrent shed request.
 //! 3. [`pool_shutdown_drains_every_submitted_job`] — the worker-pool
 //!    drain: every job submitted before shutdown runs exactly once and
 //!    every worker exits.
@@ -74,7 +74,7 @@ fn hot_reload_never_tears_a_query() {
             let service = Arc::clone(&service);
             thread::spawn(move || {
                 // Pin the snapshot, then drop the lock before "serving",
-                // exactly as handle_connection does.
+                // exactly as the reactor's worker job does.
                 let pinned = Arc::clone(&service.read().expect("read lock"));
                 assert!(pinned.consistent(), "torn snapshot");
                 assert!(
@@ -93,7 +93,7 @@ fn hot_reload_never_tears_a_query() {
     });
 }
 
-/// The accept loop's admission slot, released by `AdmitGuard::drop`.
+/// The reactor's admission slot, released by `AdmitGuard::drop`.
 struct AdmitGuard(Arc<AtomicUsize>);
 
 impl Drop for AdmitGuard {
@@ -102,14 +102,14 @@ impl Drop for AdmitGuard {
     }
 }
 
-/// Mirrors `accept_loop`: `admitted.fetch_add` then reject-and-undo
-/// over capacity, otherwise an `AdmitGuard` rides into the worker
-/// closure. One admitted connection's worker is killed mid-job (the
+/// Mirrors the reactor's `dispatch`: `admitted.fetch_add` then
+/// shed-and-undo over capacity, otherwise an `AdmitGuard` rides into the
+/// worker closure. One admitted request's worker is killed mid-job (the
 /// `serve.worker.kill` fault), unwinding through the pool's
 /// `catch_unwind`; another races for the remaining capacity. In every
 /// interleaving each admission must be released exactly once — the
-/// counter returns to zero whether a connection was served, rejected,
-/// or killed.
+/// counter returns to zero whether a request was served, shed, or
+/// killed.
 #[test]
 fn admit_guard_never_leaks_a_slot() {
     loom::model(|| {

@@ -14,7 +14,7 @@ use pol_core::Inventory;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
 use pol_serve::proto::{read_frame, write_frame, ProtoError, Request, Response, PROTO_VERSION};
-use pol_serve::{Client, ClientError, Server, ServerConfig, ServerCore};
+use pol_serve::{Client, ClientError, Server, ServerConfig};
 use pol_sketch::hash::FxHashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -188,7 +188,7 @@ fn concurrent_responses_equal_direct_inventory_queries() {
     server.shutdown();
 }
 
-/// The `STATS` endpoint reflects traffic and the shard-build stage.
+/// The `STATS` endpoint reflects traffic and the columnar-encode stage.
 #[test]
 fn stats_endpoint_reports_counters_and_stages() {
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
@@ -198,7 +198,7 @@ fn stats_endpoint_reports_counters_and_stages() {
     let report = client.stats().unwrap();
     assert!(report.total_requests >= 2);
     assert_eq!(report.connections, 1);
-    assert!(report.stages.contains("shard-build"));
+    assert!(report.stages.contains("columnar-encode"));
     assert!(report
         .endpoints
         .iter()
@@ -206,18 +206,14 @@ fn stats_endpoint_reports_counters_and_stages() {
     server.shutdown();
 }
 
-/// Connections beyond `worker_threads + max_pending` are shed with a
-/// typed `Busy` frame instead of queueing. Pinned to the threaded core,
-/// whose admission is per *connection* (a second attached connection is
-/// over the cap even while idle); the reactor core admits per request —
-/// its shedding is covered by the chaos suite's
-/// `reactor_sheds_at_the_loop_and_keeps_the_connection`.
+/// Sockets beyond `max_connections` are turned away at accept with a
+/// typed `Busy` frame instead of being registered. (Per-request
+/// shedding at the admission cap is covered by the chaos suite's
+/// `reactor_sheds_at_the_loop_and_keeps_the_connection`.)
 #[test]
 fn overload_is_rejected_with_busy() {
     let config = ServerConfig {
-        core: ServerCore::Threaded,
-        worker_threads: 1,
-        max_pending: 0,
+        max_connections: 1,
         read_timeout: Duration::from_millis(25),
         ..ServerConfig::default()
     };
@@ -225,7 +221,7 @@ fn overload_is_rejected_with_busy() {
     let addr = server.local_addr();
 
     let mut first = Client::connect(addr).unwrap();
-    first.ping().unwrap(); // guarantees the admission is registered
+    first.ping().unwrap(); // guarantees the connection is registered
     let mut second = Client::connect(addr).unwrap();
     match second.ping() {
         Err(ClientError::ServerBusy) => {}
@@ -235,7 +231,7 @@ fn overload_is_rejected_with_busy() {
     // every attempt lands one rejection.
     assert!(server.metrics().snapshot().busy_rejections >= 1);
 
-    // Releasing the first connection frees the slot for a new client.
+    // Releasing the first connection frees its socket for a new client.
     drop(first);
     std::thread::sleep(Duration::from_millis(150));
     let mut third = Client::connect(addr).unwrap();
@@ -377,7 +373,7 @@ fn health_ready_and_hot_reload() {
 
     // Hot-swap to a bigger snapshot; the attached client sees the new
     // data on its very next request, same connection.
-    server.reload(sample_inventory(300));
+    server.reload(sample_inventory(300)).unwrap();
     let health = client.health().unwrap();
     assert_eq!(health.generation, 2);
     let pos = LatLon::new(-50.0, -160.0).unwrap();
@@ -436,8 +432,9 @@ fn corrupt_reload_is_rejected_and_old_snapshot_survives() {
 }
 
 /// A server started from a migrated POLINV3 snapshot (zero-copy mapped
-/// backend) answers every endpoint exactly like the heap-backed server
-/// over the same data, and reports the mapped store through `STATS`.
+/// file) answers every endpoint exactly like the server started from the
+/// in-process inventory (encoded in memory), and `STATS` names each
+/// store.
 #[test]
 fn mmap_snapshot_server_equals_heap_server() {
     use pol_core::codec::{self, columnar};
@@ -501,15 +498,15 @@ fn mmap_snapshot_server_equals_heap_server() {
         assert_eq!(a, b, "eta {i}");
     }
 
-    // The mapped backend identifies itself and counts its work.
+    // Each store identifies itself and counts its work.
     let report = on_mmap.stats().unwrap();
     assert_eq!(report.store, "mapped-columnar");
     assert!(report.mapped_lookups > 0);
     assert!(report.mapped_scan_entries > 0);
     assert!(report.stages.contains("mmap-open"));
     let report = on_heap.stats().unwrap();
-    assert_eq!(report.store, "sharded-heap");
-    assert_eq!(report.mapped_lookups, 0);
+    assert_eq!(report.store, "heap-columnar");
+    assert!(report.mapped_lookups > 0);
 
     heap_server.shutdown();
     mmap_server.shutdown();
@@ -662,46 +659,40 @@ fn pipelined_responses_survive_a_lazy_reader() {
 /// A slow-loris peer — one that declares a frame and then drips bytes
 /// forever — is cut off by the frame-assembly deadline (anchored to the
 /// frame's first byte, so the drip cannot keep resetting it) without
-/// ever stalling the other clients. Both cores enforce the same rule.
+/// ever stalling the other clients.
 #[test]
 fn slow_loris_is_cut_off_without_stalling_others() {
-    for core in [ServerCore::Reactor, ServerCore::Threaded] {
-        let config = ServerConfig {
-            core,
-            stall_timeout: Duration::from_millis(300),
-            read_timeout: Duration::from_millis(25),
-            ..ServerConfig::default()
-        };
-        let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
-        let addr = server.local_addr();
+    let config = ServerConfig {
+        stall_timeout: Duration::from_millis(300),
+        read_timeout: Duration::from_millis(25),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
 
-        // The loris declares a 100-byte frame, then feeds it one byte at
-        // a time — each drip inside the read timeout, the whole frame
-        // far beyond the stall deadline.
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris.set_nodelay(true).unwrap();
-        loris.write_all(&(100u32).to_le_bytes()).unwrap();
-        loris.flush().unwrap();
+    // The loris declares a 100-byte frame, then feeds it one byte at
+    // a time — each drip inside the read timeout, the whole frame
+    // far beyond the stall deadline.
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris.set_nodelay(true).unwrap();
+    loris.write_all(&(100u32).to_le_bytes()).unwrap();
+    loris.flush().unwrap();
 
-        let mut healthy = Client::connect(addr).unwrap();
-        let started = Instant::now();
-        let mut cut_off = false;
-        while started.elapsed() < Duration::from_secs(5) {
-            // Other clients are served the whole time.
-            healthy.ping().unwrap();
-            if loris.write_all(&[0]).and_then(|()| loris.flush()).is_err() {
-                cut_off = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        assert!(
-            cut_off,
-            "{core:?}: slow-loris connection evaded the stall deadline"
-        );
+    let mut healthy = Client::connect(addr).unwrap();
+    let started = Instant::now();
+    let mut cut_off = false;
+    while started.elapsed() < Duration::from_secs(5) {
+        // Other clients are served the whole time.
         healthy.ping().unwrap();
-        server.shutdown();
+        if loris.write_all(&[0]).and_then(|()| loris.flush()).is_err() {
+            cut_off = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(30));
     }
+    assert!(cut_off, "slow-loris connection evaded the stall deadline");
+    healthy.ping().unwrap();
+    server.shutdown();
 }
 
 /// `CellIndex::from_raw` accepts every index a bbox scan returns (the

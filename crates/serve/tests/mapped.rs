@@ -1,5 +1,5 @@
-//! Zero-copy store equivalence tests (ISSUE tentpole): a
-//! [`MappedStore`] over a migrated POLINV3 snapshot must answer every
+//! Store equivalence tests: a [`MappedStore`] — over a migrated POLINV3
+//! file, and over the same image encoded in memory — must answer every
 //! query — all three summary levels, bbox scans, top-destination scans,
 //! and the `pol-apps` estimators built on top — exactly like the heap
 //! [`Inventory`] the snapshot came from, while corrupt files are
@@ -72,6 +72,15 @@ fn migrate_and_map(inv: &Inventory, tag: &str) -> (MappedStore, PathBuf) {
     (MappedStore::open(&path).unwrap(), dir)
 }
 
+/// The same image served from the heap — `MappedStore::from_bytes` over
+/// `columnar::to_bytes`, the path an in-process inventory takes into
+/// `Server::start`.
+fn in_memory(inv: &Inventory) -> MappedStore {
+    let store = MappedStore::from_bytes(columnar::to_bytes(inv)).unwrap();
+    assert!(!store.is_mapped());
+    store
+}
+
 /// CellStats equality is by canonical encoding (no `PartialEq`).
 fn stats_bytes(stats: Option<std::borrow::Cow<'_, CellStats>>) -> Option<Vec<u8>> {
     stats.map(|s| {
@@ -93,40 +102,42 @@ fn mapped_store_equals_heap_inventory_on_every_lookup() {
     const N: usize = 700;
     let heap = sample_inventory(N);
     let (mapped, dir) = migrate_and_map(&heap, "lookups");
-
-    assert_eq!(mapped.resolution(), InventoryQuery::resolution(&heap));
-    assert_eq!(mapped.len(), heap.len());
-    assert_eq!(mapped.total_records(), heap.total_records());
     assert!(mapped.is_mapped() || cfg!(not(unix)));
 
-    for i in 0..N {
-        let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
-        let cell = cell_at(pos, res());
-        let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
-        let (origin, dest) = ((i % 6) as u16, (i % 8) as u16);
-        // The heap inventory's inherent methods return `&CellStats`;
-        // qualify through the trait so both sides answer as `Cow`.
-        assert_eq!(
-            stats_bytes(mapped.summary(cell)),
-            stats_bytes(InventoryQuery::summary(&heap, cell)),
-            "cell {i}"
-        );
-        assert_eq!(
-            stats_bytes(mapped.summary_for(cell, seg)),
-            stats_bytes(InventoryQuery::summary_for(&heap, cell, seg)),
-            "cell-type {i}"
-        );
-        assert_eq!(
-            stats_bytes(mapped.summary_route(cell, origin, dest, seg)),
-            stats_bytes(InventoryQuery::summary_route(
-                &heap, cell, origin, dest, seg
-            )),
-            "cell-route {i}"
-        );
-        // Absent keys answer None from both stores.
-        assert!(mapped.summary_route(cell, 400, 401, seg).is_none());
+    for mapped in [mapped, in_memory(&heap)] {
+        assert_eq!(mapped.resolution(), InventoryQuery::resolution(&heap));
+        assert_eq!(mapped.len(), heap.len());
+        assert_eq!(mapped.total_records(), heap.total_records());
+
+        for i in 0..N {
+            let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
+            let cell = cell_at(pos, res());
+            let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
+            let (origin, dest) = ((i % 6) as u16, (i % 8) as u16);
+            // The heap inventory's inherent methods return `&CellStats`;
+            // qualify through the trait so both sides answer as `Cow`.
+            assert_eq!(
+                stats_bytes(mapped.summary(cell)),
+                stats_bytes(InventoryQuery::summary(&heap, cell)),
+                "cell {i}"
+            );
+            assert_eq!(
+                stats_bytes(mapped.summary_for(cell, seg)),
+                stats_bytes(InventoryQuery::summary_for(&heap, cell, seg)),
+                "cell-type {i}"
+            );
+            assert_eq!(
+                stats_bytes(mapped.summary_route(cell, origin, dest, seg)),
+                stats_bytes(InventoryQuery::summary_route(
+                    &heap, cell, origin, dest, seg
+                )),
+                "cell-route {i}"
+            );
+            // Absent keys answer None from both stores.
+            assert!(mapped.summary_route(cell, 400, 401, seg).is_none());
+        }
+        assert!(mapped.mapped_counters().unwrap().lookups > 0);
     }
-    assert!(mapped.counters().lookups > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -138,26 +149,28 @@ fn mapped_store_equals_heap_inventory_on_scans() {
     let heap = sample_inventory(500);
     let (mapped, dir) = migrate_and_map(&heap, "scans");
 
-    for i in 0..24usize {
-        let lo_lat = -60.0 + (i * 5) as f64;
-        let lo_lon = -170.0 + (i * 12) as f64;
-        let bbox = BBox::new(lo_lat, lo_lon, lo_lat + 9.0, lo_lon + 15.0).unwrap();
-        assert_eq!(
-            sorted(mapped.cells_in(&bbox)),
-            sorted(heap.cells_in(&bbox)),
-            "bbox {i}"
-        );
-    }
-    for dest in 0..8u16 {
-        for segment in [None, Some(MarketSegment::from_id(2).unwrap())] {
+    for mapped in [mapped, in_memory(&heap)] {
+        for i in 0..24usize {
+            let lo_lat = -60.0 + (i * 5) as f64;
+            let lo_lon = -170.0 + (i * 12) as f64;
+            let bbox = BBox::new(lo_lat, lo_lon, lo_lat + 9.0, lo_lon + 15.0).unwrap();
             assert_eq!(
-                sorted(mapped.cells_with_top_destination(dest, segment)),
-                sorted(heap.cells_with_top_destination(dest, segment)),
-                "top-dest {dest} {segment:?}"
+                sorted(mapped.cells_in(&bbox)),
+                sorted(heap.cells_in(&bbox)),
+                "bbox {i}"
             );
         }
+        for dest in 0..8u16 {
+            for segment in [None, Some(MarketSegment::from_id(2).unwrap())] {
+                assert_eq!(
+                    sorted(mapped.cells_with_top_destination(dest, segment)),
+                    sorted(heap.cells_with_top_destination(dest, segment)),
+                    "top-dest {dest} {segment:?}"
+                );
+            }
+        }
+        assert!(mapped.mapped_counters().unwrap().scan_entries > 0);
     }
-    assert!(mapped.counters().scan_entries > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -168,32 +181,34 @@ fn estimators_agree_across_backends() {
     let heap = sample_inventory(600);
     let (mapped, dir) = migrate_and_map(&heap, "estimators");
 
-    for i in 0..80usize {
-        let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
-        let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
-        let route = (i % 2 == 0).then_some(((i % 6) as u16, (i % 8) as u16));
-        assert_eq!(
-            EtaEstimator::new(&mapped).estimate(pos, Some(seg), route),
-            EtaEstimator::new(&heap).estimate(pos, Some(seg), route),
-            "eta {i}"
-        );
+    for mapped in [mapped, in_memory(&heap)] {
+        for i in 0..80usize {
+            let pos = LatLon::new(-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64).unwrap();
+            let seg = MarketSegment::from_id((i % 7) as u8).unwrap();
+            let route = (i % 2 == 0).then_some(((i % 6) as u16, (i % 8) as u16));
+            assert_eq!(
+                EtaEstimator::new(&mapped).estimate(pos, Some(seg), route),
+                EtaEstimator::new(&heap).estimate(pos, Some(seg), route),
+                "eta {i}"
+            );
 
-        let track: Vec<LatLon> = (0..5)
-            .map(|k| {
-                LatLon::new(
-                    -55.0 + ((i + k) % 111) as f64,
-                    -170.0 + ((i + k) % 340) as f64,
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut from_mapped = DestinationPredictor::new(&mapped, None);
-        let mut from_heap = DestinationPredictor::new(&heap, None);
-        for p in &track {
-            from_mapped.observe(*p);
-            from_heap.observe(*p);
+            let track: Vec<LatLon> = (0..5)
+                .map(|k| {
+                    LatLon::new(
+                        -55.0 + ((i + k) % 111) as f64,
+                        -170.0 + ((i + k) % 340) as f64,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let mut from_mapped = DestinationPredictor::new(&mapped, None);
+            let mut from_heap = DestinationPredictor::new(&heap, None);
+            for p in &track {
+                from_mapped.observe(*p);
+                from_heap.observe(*p);
+            }
+            assert_eq!(from_mapped.top(3), from_heap.top(3), "predict {i}");
         }
-        assert_eq!(from_mapped.top(3), from_heap.top(3), "predict {i}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -102,7 +102,6 @@ fn arb_eta() -> impl Strategy<Value = EtaEstimate> {
 fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
     (
         (0u64..1 << 40, 0u64..1000, 0u64..1000, 0u64..10_000),
-        (0u64..1 << 30, 0u64..1 << 30),
         (1u64..1 << 20, 0u64..500, 0u64..500),
         (0u64..1 << 30, 0u64..1 << 40, 0u64..1 << 40),
         (0u64..1 << 30, 0u64..1 << 16, 0u64..1 << 24),
@@ -125,7 +124,6 @@ fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
         .prop_map(
             |(
                 (total, busy, malformed, conns),
-                (hits, misses),
                 (generation, reloads_ok, reloads_failed),
                 (batched, mapped_lookups, mapped_scan_entries),
                 (delta_generation, chain_len, since_reload_secs),
@@ -138,8 +136,6 @@ fn arb_stats_report() -> impl Strategy<Value = StatsReport> {
                 busy_rejections: busy,
                 malformed_frames: malformed,
                 connections: conns,
-                cache_hits: hits,
-                cache_misses: misses,
                 generation,
                 reloads_ok,
                 reloads_failed,
@@ -363,8 +359,6 @@ fn every_opcode_constant_is_pinned_to_its_frame_tag() {
                 busy_rejections: 0,
                 malformed_frames: 0,
                 connections: 1,
-                cache_hits: 0,
-                cache_misses: 0,
                 generation: 1,
                 reloads_ok: 0,
                 reloads_failed: 0,
