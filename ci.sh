@@ -431,7 +431,7 @@ run_analysis() {
     PROPTEST_CASES=4 cargo "+$NIGHTLY" miri test -q \
       -p pol-core --test codec_columnar --test codec_corruption
     PROPTEST_CASES=4 cargo "+$NIGHTLY" miri test -q \
-      -p pol-sketch --test columnar --test merge_laws
+      -p pol-sketch --test merge_laws --test crc64
   else
     skip "miri" "the miri component is not installed for $NIGHTLY (offline container)"
   fi

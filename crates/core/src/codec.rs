@@ -223,23 +223,28 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     put_varint(&mut header, inv.total_records());
     put_varint(&mut header, inv.len() as u64);
 
-    // Entries section. Deterministic output: sort by key.
-    let mut body = Vec::new();
-    let mut entries: Vec<(&GroupKey, &CellStats)> = inv.iter().collect();
-    entries.sort_by_key(|(k, _)| **k);
-    for (k, s) in entries {
-        encode_group_key(k, &mut body);
-        encode_cell_stats(s, &mut body);
-    }
-
-    let mut out = Vec::with_capacity(MAGIC.len() + header.len() + body.len() + 52);
+    let mut out = Vec::with_capacity(MAGIC.len() + header.len() + 52);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(header.len() as u32).to_le_bytes());
     out.extend_from_slice(&header);
     out.extend_from_slice(&crc64(&header).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc64(&body).to_le_bytes());
+
+    // Entries section, encoded in place behind its fixed-width length,
+    // which is filled in once the body is complete. Deterministic
+    // output: sort by key.
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let body_at = out.len();
+    let mut entries: Vec<(&GroupKey, &CellStats)> = inv.iter().collect();
+    entries.sort_by_key(|(k, _)| **k);
+    for (k, s) in entries {
+        encode_group_key(k, &mut out);
+        encode_cell_stats(s, &mut out);
+    }
+    let body_len = (out.len() - body_at) as u64;
+    out[len_at..body_at].copy_from_slice(&body_len.to_le_bytes());
+    let body_crc = crc64(&out[body_at..]);
+    out.extend_from_slice(&body_crc.to_le_bytes());
     let file_len = out.len() as u64 + 16; // footer included
     out.extend_from_slice(&file_len.to_le_bytes());
     out.extend_from_slice(FOOTER_MAGIC);
@@ -366,7 +371,11 @@ fn parse_sections(bytes: &[u8]) -> Result<Sections<'_>, CodecError> {
 
 /// Deserializes an inventory from a complete file image.
 pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
-    let sections = parse_sections(bytes)?;
+    from_sections(&parse_sections(bytes)?)
+}
+
+/// Decodes every entry of sections [`parse_sections`] already validated.
+fn from_sections(sections: &Sections<'_>) -> Result<Inventory, CodecError> {
     let mut input = sections.entries_bytes;
     let mut entries = FxHashMap::default();
     entries.reserve(sections.declared_entries);
@@ -408,7 +417,7 @@ pub struct VerifyReport {
 /// same typed [`CodecError`] a [`load`] would produce.
 pub fn verify_bytes(bytes: &[u8]) -> Result<VerifyReport, CodecError> {
     let sections = parse_sections(bytes)?;
-    let inv = from_bytes(bytes)?;
+    let inv = from_sections(&sections)?;
     Ok(VerifyReport {
         file_len: bytes.len() as u64,
         header_crc: sections.header_crc,

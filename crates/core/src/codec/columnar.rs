@@ -810,35 +810,63 @@ impl<'a> TopDestReader<'a> {
     }
 }
 
-fn group_section_body(entries: &[(Vec<u8>, &CellStats)]) -> Vec<u8> {
-    let mut keys = Vec::new();
-    let mut offsets = Vec::with_capacity((entries.len() + 1) * 8);
-    let mut blob = Vec::new();
-    for (kb, stats) in entries {
-        keys.extend_from_slice(kb);
-        offsets.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        encode_cell_stats(stats, &mut blob);
+/// A grouping key's fixed-stride bytes, zero-padded to the widest
+/// stride (`cell-route`'s 13). Within one section every key has the same
+/// stride, so comparing padded arrays is comparing the keys themselves.
+type KeyBytes = [u8; 13];
+
+/// Appends one grouping section's body — key column, offset table, stats
+/// blob — to `area`, encoding each entry's stats straight into place.
+/// The offset table is reserved as zeros and filled from `offsets`, a
+/// scratch list reused across sections, once the blob's layout is known.
+fn put_group_section(
+    area: &mut Vec<u8>,
+    offsets: &mut Vec<u64>,
+    stride: usize,
+    entries: &[(KeyBytes, &CellStats)],
+) {
+    for (kb, _) in entries {
+        area.extend_from_slice(kb.get(..stride).unwrap_or(kb));
     }
-    offsets.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    let mut body = Vec::with_capacity(keys.len() + offsets.len() + blob.len());
-    body.extend_from_slice(&keys);
-    body.extend_from_slice(&offsets);
-    body.extend_from_slice(&blob);
-    body
+    let table_at = area.len();
+    area.resize(table_at + (entries.len() + 1) * 8, 0);
+    let blob_at = area.len();
+    offsets.clear();
+    for (_, stats) in entries {
+        offsets.push((area.len() - blob_at) as u64);
+        encode_cell_stats(stats, area);
+    }
+    offsets.push((area.len() - blob_at) as u64);
+    for (slot, off) in area[table_at..blob_at]
+        .chunks_exact_mut(8)
+        .zip(offsets.iter())
+    {
+        slot.copy_from_slice(&off.to_le_bytes());
+    }
 }
 
 /// Serializes an inventory to its complete POLINV3 file image (magic
 /// through sealed footer). Deterministic: equal inventories always
 /// produce identical bytes.
+///
+/// Every section body is written once, straight into one section area
+/// (its fixed-size columns reserved from the entry counts up front),
+/// and the area is copied once into the exact-size output image after
+/// the header that describes it.
 pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
     // Partition entries by grouping set and sort by encoded key — the
     // fixed-stride big-endian encoding makes byte order == key order.
-    let mut groups: [Vec<(Vec<u8>, &CellStats)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut groups: [Vec<(KeyBytes, &CellStats)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut lat_rows: Vec<(f64, f64, u64)> = Vec::new();
     let mut top_rows: Vec<[u8; 11]> = Vec::new();
-    for (key, stats) in inv.iter() {
-        let mut kb = Vec::with_capacity(13);
-        encode_fixed_key(key, &mut kb);
+    let mut key = Vec::with_capacity(13);
+    for (k, stats) in inv.iter() {
+        key.clear();
+        encode_fixed_key(k, &mut key);
+        let mut kb: KeyBytes = [0; 13];
+        if let Some(head) = kb.get_mut(..key.len()) {
+            head.copy_from_slice(&key);
+        }
         // Invert the top-destination relation for the `cell` and
         // `cell-type` groupings — the same `top_destinations(1)` the heap
         // query evaluates per entry, precomputed once at encode time.
@@ -848,7 +876,7 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
                 .first()
                 .map(|(d, _)| top_dest_row(*d, seg, cell.raw()))
         };
-        let slot = match key {
+        let slot = match k {
             GroupKey::Cell(c) => {
                 let center = cell_center(*c);
                 lat_rows.push((center.lat(), center.lon(), c.raw()));
@@ -866,50 +894,62 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
         }
     }
     for g in &mut groups {
-        g.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        g.sort_unstable_by_key(|e| e.0);
     }
     top_rows.sort_unstable();
-    let mut top_body = Vec::with_capacity(top_rows.len() * SectionKind::TopDest.stride());
-    for row in &top_rows {
-        top_body.extend_from_slice(row);
-    }
     lat_rows.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-    let mut lat_body = Vec::with_capacity(lat_rows.len() * SectionKind::LatIndex.stride());
-    for (lat, lon, raw) in &lat_rows {
-        lat_body.extend_from_slice(&lat.to_le_bytes());
-        lat_body.extend_from_slice(&lon.to_le_bytes());
-        lat_body.extend_from_slice(&raw.to_le_bytes());
-    }
 
     let [g_cell, g_cell_type, g_cell_route] = &groups;
-    let bodies: [(SectionKind, usize, Vec<u8>); 5] = [
-        (SectionKind::Cell, g_cell.len(), group_section_body(g_cell)),
-        (
-            SectionKind::CellType,
-            g_cell_type.len(),
-            group_section_body(g_cell_type),
-        ),
-        (
-            SectionKind::CellRoute,
-            g_cell_route.len(),
-            group_section_body(g_cell_route),
-        ),
-        (SectionKind::LatIndex, lat_rows.len(), lat_body),
-        (SectionKind::TopDest, top_rows.len(), top_body),
+    let counts = [
+        g_cell.len(),
+        g_cell_type.len(),
+        g_cell_route.len(),
+        lat_rows.len(),
+        top_rows.len(),
     ];
-
+    // Keys, offset tables, fixed-stride rows and CRCs; only the stats
+    // blobs are unknown until encoded.
+    let fixed: usize = SectionKind::ALL
+        .iter()
+        .zip(counts)
+        .map(|(kind, n)| n * kind.stride() + 8)
+        .sum::<usize>()
+        + (g_cell.len() + g_cell_type.len() + g_cell_route.len() + 3) * 8;
+    let mut area = Vec::with_capacity(fixed);
+    let mut offsets = Vec::new();
     let mut header = Vec::with_capacity(64);
     header.push(inv.resolution().level());
     put_varint(&mut header, inv.total_records());
-    put_varint(&mut header, bodies.len() as u64);
-    let mut area = Vec::new();
-    for (kind, count, body) in &bodies {
+    put_varint(&mut header, SectionKind::ALL.len() as u64);
+    for (kind, count) in SectionKind::ALL.into_iter().zip(counts) {
+        let start = area.len();
+        match kind {
+            SectionKind::Cell => put_group_section(&mut area, &mut offsets, kind.stride(), g_cell),
+            SectionKind::CellType => {
+                put_group_section(&mut area, &mut offsets, kind.stride(), g_cell_type)
+            }
+            SectionKind::CellRoute => {
+                put_group_section(&mut area, &mut offsets, kind.stride(), g_cell_route)
+            }
+            SectionKind::LatIndex => {
+                for (lat, lon, raw) in &lat_rows {
+                    area.extend_from_slice(&lat.to_le_bytes());
+                    area.extend_from_slice(&lon.to_le_bytes());
+                    area.extend_from_slice(&raw.to_le_bytes());
+                }
+            }
+            SectionKind::TopDest => {
+                for row in &top_rows {
+                    area.extend_from_slice(row);
+                }
+            }
+        }
         header.push(kind.id());
-        put_varint(&mut header, *count as u64);
-        put_varint(&mut header, area.len() as u64);
-        put_varint(&mut header, body.len() as u64);
-        area.extend_from_slice(body);
-        area.extend_from_slice(&crc64(body).to_le_bytes());
+        put_varint(&mut header, count as u64);
+        put_varint(&mut header, start as u64);
+        put_varint(&mut header, (area.len() - start) as u64);
+        let crc = crc64(&area[start..]);
+        area.extend_from_slice(&crc.to_le_bytes());
     }
 
     let mut out = Vec::with_capacity(MAGIC_V3.len() + 4 + header.len() + 8 + area.len() + 16);
@@ -929,7 +969,13 @@ pub fn to_bytes(inv: &Inventory) -> Vec<u8> {
 /// section (the migration/fallback path; serving reads zero-copy via
 /// [`Layout`] + [`SectionReader`] instead).
 pub fn from_bytes(bytes: &[u8]) -> Result<Inventory, CodecError> {
-    let layout = Layout::parse(bytes)?;
+    from_layout(bytes, &Layout::parse(bytes)?)
+}
+
+/// Decodes every entry of every grouping section of `bytes`, whose
+/// layout (seal, CRCs, bounds) `layout` already validated — so one
+/// [`Layout::parse`] can feed both a report and the full decode.
+fn from_layout(bytes: &[u8], layout: &Layout) -> Result<Inventory, CodecError> {
     let mut entries: FxHashMap<GroupKey, CellStats> = FxHashMap::default();
     let total: usize = layout.cell.count + layout.cell_type.count + layout.cell_route.count;
     entries.reserve(total);
@@ -984,7 +1030,7 @@ pub struct ColumnarReport {
 /// [`CodecError`] a load would produce.
 pub fn verify_bytes(bytes: &[u8]) -> Result<ColumnarReport, CodecError> {
     let layout = Layout::parse(bytes)?;
-    let inv = from_bytes(bytes)?;
+    let inv = from_layout(bytes, &layout)?;
     let counts = [
         layout.cell.count,
         layout.cell_type.count,

@@ -237,6 +237,11 @@ pub struct SegmentLoad {
     pub first_seq: u64,
     /// Every durable batch, in append order.
     pub batches: Vec<Batch>,
+    /// The sequence the next batch appended after the durable prefix
+    /// carries: `first_seq + batches.len()` as read. Unlike the length,
+    /// it stays valid after a caller moves `batches` out, which is all
+    /// [`SegmentWriter::resume`] needs.
+    pub next_seq: u64,
     /// Whether the segment ended with a valid seal.
     pub sealed: bool,
     /// Bytes of a torn trailing batch (or partial seal) that were
@@ -310,6 +315,7 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
             return Ok(SegmentLoad {
                 first_seq,
                 batches,
+                next_seq,
                 sealed: true,
                 torn_bytes: 0,
                 valid_len: frame_at as u64,
@@ -346,6 +352,7 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
             return Ok(SegmentLoad {
                 first_seq,
                 batches,
+                next_seq,
                 sealed: false,
                 torn_bytes: 0,
                 valid_len: at as u64,
@@ -357,6 +364,7 @@ pub fn read_segment(bytes: &[u8]) -> Result<SegmentLoad, WalError> {
 fn torn(first_seq: u64, batches: Vec<Batch>, valid_at: usize, file_len: usize) -> SegmentLoad {
     SegmentLoad {
         first_seq,
+        next_seq: first_seq + batches.len() as u64,
         batches,
         sealed: false,
         torn_bytes: (file_len - valid_at) as u64,
@@ -456,7 +464,7 @@ impl SegmentWriter {
             path: path.to_path_buf(),
             len: load.valid_len,
             first_seq: load.first_seq,
-            next_seq: load.first_seq + load.batches.len() as u64,
+            next_seq: load.next_seq,
         })
     }
 

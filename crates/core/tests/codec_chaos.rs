@@ -15,6 +15,16 @@ use pol_geo::LatLon;
 use pol_hexgrid::{cell_at, Resolution};
 use pol_sketch::hash::FxHashMap;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
+
+/// The failpoint registry is process-global and every `codec::save`
+/// passes both `codec.save.*` sites, so a test running beside another
+/// can consume the other's one-shot fault. Every test holds this lock
+/// for its whole run (a failed test poisons it; the next carries on).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn sample_inventory(n: usize) -> Inventory {
     let res = Resolution::new(6).unwrap();
@@ -57,6 +67,7 @@ fn no_temp_files(dir: &Path) -> bool {
 
 #[test]
 fn injected_write_failure_cleans_temp_and_preserves_old_file() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join("pol-codec-chaos-write");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -88,6 +99,7 @@ fn injected_write_failure_cleans_temp_and_preserves_old_file() {
 
 #[test]
 fn injected_rename_failure_cleans_temp_and_preserves_old_file() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join("pol-codec-chaos-rename");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();

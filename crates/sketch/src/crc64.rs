@@ -9,33 +9,46 @@
 //! cryptographic hash because the threat model is bit rot and torn
 //! writes, not an adversary.
 //!
-//! The implementation is a single 256-entry table computed at first use
-//! (`OnceLock`), processing one byte per step — ~1 GB/s, far faster than
-//! the disk writes it guards. Pure `std`, no allocation after init.
+//! The implementation is slicing-by-8: eight 256-entry tables computed
+//! at first use (`OnceLock`, 16 KiB). Table 0 is the classic byte table;
+//! table `k` advances a byte's contribution by `k` further zero bytes,
+//! so one step folds eight input bytes with eight independent lookups
+//! instead of a chain of eight dependent ones. A trailing partial word
+//! runs byte by byte through table 0. Over a 64 MiB buffer on a 2-vCPU
+//! x86-64 machine (release build, min of 5), a byte-at-a-time loop runs
+//! at ~300 MB/s and this one at ~1.2 GB/s. Pure `std`, safe code, no
+//! allocation after init.
 
 use std::sync::OnceLock;
 
 /// The reflected ECMA-182 polynomial.
 const POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u64; 256];
-        let mut i = 0;
-        while i < 256 {
+/// Table `k` maps a byte to its CRC contribution `k` bytes further on.
+type Tables = [[u64; 256]; 8];
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u64; 256]; 8];
+        let [t0, rest @ ..] = &mut t;
+        for (i, slot) in t0.iter_mut().enumerate() {
             let mut crc = i as u64;
-            let mut bit = 0;
-            while bit < 8 {
+            for _ in 0..8 {
                 crc = if crc & 1 == 1 {
                     (crc >> 1) ^ POLY
                 } else {
                     crc >> 1
                 };
-                bit += 1;
             }
-            t[i] = crc;
-            i += 1;
+            *slot = crc;
+        }
+        let mut prev = *t0;
+        for table in rest {
+            for (slot, &p) in table.iter_mut().zip(&prev) {
+                *slot = (p >> 8) ^ t0[p as u8 as usize];
+            }
+            prev = *table;
         }
         t
     })
@@ -68,13 +81,24 @@ impl Crc64 {
 
     /// Feeds bytes into the digest.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = tables();
         let mut crc = self.state;
-        for &b in bytes {
-            let idx = ((crc ^ b as u64) & 0xFF) as usize;
-            // The index is masked to 0..256; direct indexing cannot
-            // overrun, and `get` would hide that invariant.
-            crc = t[idx] ^ (crc >> 8);
+        let (words, tail) = bytes.as_chunks::<8>();
+        // Every index below is a `u8` widened to `usize`, so it is always
+        // inside a 256-entry table; `get` would hide that invariant.
+        for word in words {
+            let x = crc ^ u64::from_le_bytes(*word);
+            crc = t7[x as u8 as usize]
+                ^ t6[(x >> 8) as u8 as usize]
+                ^ t5[(x >> 16) as u8 as usize]
+                ^ t4[(x >> 24) as u8 as usize]
+                ^ t3[(x >> 32) as u8 as usize]
+                ^ t2[(x >> 40) as u8 as usize]
+                ^ t1[(x >> 48) as u8 as usize]
+                ^ t0[(x >> 56) as u8 as usize];
+        }
+        for &b in tail {
+            crc = t0[(crc ^ u64::from(b)) as u8 as usize] ^ (crc >> 8);
         }
         self.state = crc;
     }

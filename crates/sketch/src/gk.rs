@@ -10,13 +10,13 @@
 use crate::MergeSketch;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Tuple {
+pub(crate) struct Tuple {
     /// Observed value.
-    v: f64,
+    pub(crate) v: f64,
     /// Number of observations represented by this tuple.
-    g: u64,
+    pub(crate) g: u64,
     /// Uncertainty of this tuple's rank.
-    delta: u64,
+    pub(crate) delta: u64,
 }
 
 /// The GK quantile sketch.
@@ -109,54 +109,35 @@ impl GkSketch {
             .extend_from_slice(&self.inline[..self.inline_len as usize]);
         self.inline_len = 0;
         self.spill.sort_unstable_by(f64::total_cmp);
-        let mut merged = Vec::with_capacity(self.tuples.len() + self.spill.len());
-        let mut ti = 0;
-        for &x in &self.spill {
-            while ti < self.tuples.len() && self.tuples[ti].v <= x {
-                merged.push(self.tuples[ti]);
-                ti += 1;
-            }
-            self.n += 1;
-            let delta = if merged.is_empty() || ti == self.tuples.len() {
-                0 // new min or max is exact
-            } else {
-                (2.0 * self.epsilon * self.n as f64).floor() as u64
-            };
-            merged.push(Tuple { v: x, g: 1, delta });
-        }
-        merged.extend_from_slice(&self.tuples[ti..]);
-        self.tuples = merged;
+        (self.n, self.tuples) = merge_batch(self.epsilon, self.n, &self.tuples, &self.spill);
         self.spill.clear();
-        self.compress();
     }
 
-    fn compress(&mut self) {
-        if self.tuples.len() < 3 {
-            return;
+    /// Calls `f(n, tuples)` with the count and tuple list this sketch
+    /// holds once flushed, without flushing it or cloning its storage.
+    /// A flushed sketch lends its own tuples; buffered values are sorted
+    /// into a local batch and merged exactly as [`flush`](Self::flush)
+    /// would, so the result is the same as after a flush.
+    pub(crate) fn with_flushed<R>(&self, f: impl FnOnce(u64, &[Tuple]) -> R) -> R {
+        if self.buffered() == 0 {
+            return f(self.n, &self.tuples);
         }
-        let threshold = (2.0 * self.epsilon * self.n as f64).floor() as u64;
-        // In-place greedy forward fold: `w` is the write cursor; the first
-        // tuple (exact minimum) is kept and never folded into.
-        let mut w = 1;
-        for i in 1..self.tuples.len() {
-            let cur = self.tuples[i];
-            // Never fold the exact-minimum tuple into its successor, and
-            // never exceed the error budget.
-            if w > 1 {
-                let last = self.tuples[w - 1];
-                if last.g + cur.g + cur.delta <= threshold {
-                    self.tuples[w - 1] = Tuple {
-                        v: cur.v,
-                        g: last.g + cur.g,
-                        delta: cur.delta,
-                    };
-                    continue;
-                }
-            }
-            self.tuples[w] = cur;
-            w += 1;
-        }
-        self.tuples.truncate(w);
+        let inline = &self.inline[..self.inline_len as usize];
+        let (n, tuples) = if self.spill.is_empty() {
+            // The common small sketch: sort a stack copy of the inline
+            // buffer, so the only allocation is the merged tuple list.
+            let mut sorted = self.inline;
+            let batch = &mut sorted[..inline.len()];
+            batch.sort_unstable_by(f64::total_cmp);
+            merge_batch(self.epsilon, self.n, &self.tuples, batch)
+        } else {
+            let mut batch = Vec::with_capacity(self.buffered());
+            batch.extend_from_slice(&self.spill);
+            batch.extend_from_slice(inline);
+            batch.sort_unstable_by(f64::total_cmp);
+            merge_batch(self.epsilon, self.n, &self.tuples, &batch)
+        };
+        f(n, &tuples)
     }
 
     /// The value at quantile `phi ∈ [0, 1]`, with rank error ≤ `ε·n`
@@ -187,17 +168,6 @@ impl GkSketch {
     pub fn tuple_count(&mut self) -> usize {
         self.flush();
         self.tuples.len()
-    }
-
-    /// Raw parts `(epsilon, n, tuples as (v, g, delta))` after flushing
-    /// (serialization support).
-    pub fn parts(&mut self) -> (f64, u64, Vec<(f64, u64, u64)>) {
-        self.flush();
-        (
-            self.epsilon,
-            self.n,
-            self.tuples.iter().map(|t| (t.v, t.g, t.delta)).collect(),
-        )
     }
 
     /// Reconstructs a sketch from raw parts; `None` when the tuples are not
@@ -250,30 +220,82 @@ impl MergeSketch for GkSketch {
             }
             return;
         }
-        let mut other = other.clone();
-        other.flush();
         self.flush();
-        // Merge-sort the tuple lists; g and delta survive unchanged (the
-        // classical mergeable-summary combination). Rank error becomes the
-        // sum of both sketches' absolute errors.
-        let mut merged = Vec::with_capacity(self.tuples.len() + other.tuples.len());
-        let (a, b) = (&self.tuples, &other.tuples);
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].v <= b[j].v {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
+        other.with_flushed(|other_n, b| {
+            // Merge-sort the tuple lists; g and delta survive unchanged
+            // (the classical mergeable-summary combination). Rank error
+            // becomes the sum of both sketches' absolute errors.
+            let mut merged = Vec::with_capacity(self.tuples.len() + b.len());
+            let a = &self.tuples;
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i].v <= b[j].v {
+                    merged.push(a[i]);
+                    i += 1;
+                } else {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&a[i..]);
+            merged.extend_from_slice(&b[j..]);
+            self.n += other_n;
+            compress(&mut merged, self.epsilon, self.n);
+            self.tuples = merged;
+        });
+    }
+}
+
+/// Merges a sorted batch of new values into `tuples` and compresses the
+/// result: the body of a flush. Returns the new count and tuple list.
+fn merge_batch(epsilon: f64, mut n: u64, tuples: &[Tuple], batch: &[f64]) -> (u64, Vec<Tuple>) {
+    let mut merged = Vec::with_capacity(tuples.len() + batch.len());
+    let mut ti = 0;
+    for &x in batch {
+        while ti < tuples.len() && tuples[ti].v <= x {
+            merged.push(tuples[ti]);
+            ti += 1;
+        }
+        n += 1;
+        let delta = if merged.is_empty() || ti == tuples.len() {
+            0 // new min or max is exact
+        } else {
+            (2.0 * epsilon * n as f64).floor() as u64
+        };
+        merged.push(Tuple { v: x, g: 1, delta });
+    }
+    merged.extend_from_slice(&tuples[ti..]);
+    compress(&mut merged, epsilon, n);
+    (n, merged)
+}
+
+fn compress(tuples: &mut Vec<Tuple>, epsilon: f64, n: u64) {
+    if tuples.len() < 3 {
+        return;
+    }
+    let threshold = (2.0 * epsilon * n as f64).floor() as u64;
+    // In-place greedy forward fold: `w` is the write cursor; the first
+    // tuple (exact minimum) is kept and never folded into.
+    let mut w = 1;
+    for i in 1..tuples.len() {
+        let cur = tuples[i];
+        // Never fold the exact-minimum tuple into its successor, and
+        // never exceed the error budget.
+        if w > 1 {
+            let last = tuples[w - 1];
+            if last.g + cur.g + cur.delta <= threshold {
+                tuples[w - 1] = Tuple {
+                    v: cur.v,
+                    g: last.g + cur.g,
+                    delta: cur.delta,
+                };
+                continue;
             }
         }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        self.tuples = merged;
-        self.n += other.n;
-        self.compress();
+        tuples[w] = cur;
+        w += 1;
     }
+    tuples.truncate(w);
 }
 
 #[cfg(test)]

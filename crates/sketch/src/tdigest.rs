@@ -9,9 +9,9 @@
 use crate::MergeSketch;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Centroid {
-    mean: f64,
-    weight: f64,
+pub(crate) struct Centroid {
+    pub(crate) mean: f64,
+    pub(crate) weight: f64,
 }
 
 /// The merging t-digest.
@@ -77,12 +77,32 @@ impl TDigest {
         }
         let mut all = std::mem::take(&mut self.centroids);
         all.append(&mut self.buffer);
+        self.centroids = self.folded(all);
+    }
+
+    /// Calls `f` with the centroids this digest holds once compressed,
+    /// without compressing it or cloning it: a compressed digest lends
+    /// its own centroids; a buffered one folds a local copy of centroids
+    /// and buffer exactly as [`compress`](Self::compress) would.
+    pub(crate) fn with_compressed<R>(&self, f: impl FnOnce(&[Centroid]) -> R) -> R {
+        if self.buffer.is_empty() {
+            return f(&self.centroids);
+        }
+        let mut all = Vec::with_capacity(self.centroids.len() + self.buffer.len());
+        all.extend_from_slice(&self.centroids);
+        all.extend_from_slice(&self.buffer);
+        f(&self.folded(all))
+    }
+
+    /// Sorts `all` (retained centroids first, then buffered ones) by mean
+    /// and greedily folds neighbours under the scale-function budget.
+    fn folded(&self, mut all: Vec<Centroid>) -> Vec<Centroid> {
         all.sort_by(|a, b| a.mean.total_cmp(&b.mean));
         let total: f64 = all.iter().map(|c| c.weight).sum();
         let mut out: Vec<Centroid> = Vec::with_capacity(self.compression as usize * 2);
         let mut iter = all.into_iter();
         let Some(mut acc) = iter.next() else {
-            return;
+            return out;
         };
         let mut w_before = 0.0; // weight strictly before `acc`
         for c in iter {
@@ -100,7 +120,7 @@ impl TDigest {
             }
         }
         out.push(acc);
-        self.centroids = out;
+        out
     }
 
     /// The value at quantile `phi ∈ [0, 1]`; `None` when empty.
@@ -142,17 +162,10 @@ impl TDigest {
         self.centroids.len()
     }
 
-    /// Raw parts `(compression, total_weight, min, max, centroids as
-    /// (mean, weight))` after compressing (serialization support).
-    pub fn parts(&mut self) -> (f64, f64, f64, f64, Vec<(f64, f64)>) {
-        self.compress();
-        (
-            self.compression,
-            self.total_weight,
-            self.min,
-            self.max,
-            self.centroids.iter().map(|c| (c.mean, c.weight)).collect(),
-        )
+    /// `(compression, total_weight, min, max)` as stored — the scalar
+    /// half of the serialized form; compressing never changes them.
+    pub(crate) fn scalars(&self) -> (f64, f64, f64, f64) {
+        (self.compression, self.total_weight, self.min, self.max)
     }
 
     /// Reconstructs a digest from raw parts; `None` when centroids are not
@@ -191,12 +204,10 @@ impl TDigest {
 
 impl MergeSketch for TDigest {
     fn merge(&mut self, other: &Self) {
-        let mut o = other.clone();
-        o.compress();
-        self.buffer.extend_from_slice(&o.centroids);
-        self.total_weight += o.total_weight;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
+        other.with_compressed(|cs| self.buffer.extend_from_slice(cs));
+        self.total_weight += other.total_weight;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
         self.compress();
     }
 }

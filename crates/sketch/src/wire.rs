@@ -144,16 +144,16 @@ impl Wire for AngleHistogram {
 
 impl Wire for GkSketch {
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut me = self.clone();
-        let (epsilon, n, tuples) = me.parts();
-        put_f64(out, epsilon);
-        put_varint(out, n);
-        put_varint(out, tuples.len() as u64);
-        for (v, g, delta) in tuples {
-            put_f64(out, v);
-            put_varint(out, g);
-            put_varint(out, delta);
-        }
+        self.with_flushed(|n, tuples| {
+            put_f64(out, self.epsilon());
+            put_varint(out, n);
+            put_varint(out, tuples.len() as u64);
+            for t in tuples {
+                put_f64(out, t.v);
+                put_varint(out, t.g);
+                put_varint(out, t.delta);
+            }
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -179,17 +179,18 @@ impl Wire for GkSketch {
 
 impl Wire for TDigest {
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut me = self.clone();
-        let (compression, total, min, max, centroids) = me.parts();
+        let (compression, total, min, max) = self.scalars();
         put_f64(out, compression);
         put_f64(out, total);
         put_f64(out, min);
         put_f64(out, max);
-        put_varint(out, centroids.len() as u64);
-        for (mean, weight) in centroids {
-            put_f64(out, mean);
-            put_f64(out, weight);
-        }
+        self.with_compressed(|centroids| {
+            put_varint(out, centroids.len() as u64);
+            for c in centroids {
+                put_f64(out, c.mean);
+                put_f64(out, c.weight);
+            }
+        });
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -382,6 +383,77 @@ mod tests {
         for phi in [0.1, 0.5, 0.9] {
             assert_eq!(back.quantile(phi), g.clone().quantile(phi));
         }
+    }
+
+    /// Encodes `live` as it stands, then after an explicit flush of a
+    /// copy, and checks the bytes agree and round-trip through `decode`.
+    fn assert_encode_is_flush_invariant<T: Wire + Clone>(live: &T, flush: impl Fn(&mut T)) {
+        let mut as_is = Vec::new();
+        live.encode(&mut as_is);
+        let mut flushed = live.clone();
+        flush(&mut flushed);
+        let mut after_flush = Vec::new();
+        flushed.encode(&mut after_flush);
+        assert_eq!(as_is, after_flush, "encode differs from encode-after-flush");
+        let mut s = &as_is[..];
+        let back = T::decode(&mut s).expect("decodes");
+        assert!(s.is_empty(), "trailing bytes");
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, as_is, "decode/encode is not the identity");
+    }
+
+    #[test]
+    fn gk_encode_of_buffered_values_equals_encode_after_flush() {
+        let flush = |g: &mut GkSketch| {
+            g.tuple_count();
+        };
+        let mut g = GkSketch::new(0.01);
+        assert_encode_is_flush_invariant(&g, flush);
+        // Inline-buffered only (fewer than the 16 inline slots).
+        for x in [5.0, -1.0, 3.5, 3.5, 9.0] {
+            g.add(x);
+        }
+        assert_encode_is_flush_invariant(&g, flush);
+        // Spilled: past the inline slots, short of the 512-value flush.
+        for i in 0..200 {
+            g.add(((i * 37) % 101) as f64);
+        }
+        assert_encode_is_flush_invariant(&g, flush);
+        // No buffered values: flushed tuples only.
+        flush(&mut g);
+        assert_encode_is_flush_invariant(&g, flush);
+        // Tuples plus inline-buffered, then tuples plus spilled values.
+        for x in [-50.0, 42.0, 1e6] {
+            g.add(x);
+        }
+        assert_encode_is_flush_invariant(&g, flush);
+        for i in 0..300 {
+            g.add(((i * 13) % 97) as f64 - 20.0);
+        }
+        assert_encode_is_flush_invariant(&g, flush);
+    }
+
+    #[test]
+    fn tdigest_encode_of_buffered_values_equals_encode_after_flush() {
+        let flush = |t: &mut TDigest| {
+            t.centroid_count();
+        };
+        let mut t = TDigest::new(100.0);
+        assert_encode_is_flush_invariant(&t, flush);
+        // Buffered only.
+        for x in [5.0, -1.0, 3.5, 3.5, 9.0] {
+            t.add(x);
+        }
+        assert_encode_is_flush_invariant(&t, flush);
+        // No buffered values.
+        flush(&mut t);
+        assert_encode_is_flush_invariant(&t, flush);
+        // Centroids plus a long buffer, short of the 500-value compress.
+        for i in 0..450 {
+            t.add(((i * 37) % 101) as f64);
+        }
+        assert_encode_is_flush_invariant(&t, flush);
     }
 
     #[test]

@@ -326,28 +326,32 @@ fn get_session(input: &mut &[u8]) -> Result<SessionState, WireError> {
 /// sealed footer). Sessions are sorted by MMSI first, making the
 /// encoding canonical: equal states produce identical bytes.
 pub fn to_bytes(state: &EngineState) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.push(state.resolution);
-    put_i64(&mut body, state.reorder_bound_secs);
-    put_varint(&mut body, state.wal_seq);
-    put_varint(&mut body, state.window_cuts);
-    put_varint(&mut body, state.arrival_seq);
-    put_i64(&mut body, state.max_event_ts);
+    // The body is encoded in place behind its fixed-width length, which
+    // is filled in once the body is complete.
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC_CKP);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let body_at = out.len();
+    out.push(state.resolution);
+    put_i64(&mut out, state.reorder_bound_secs);
+    put_varint(&mut out, state.wal_seq);
+    put_varint(&mut out, state.window_cuts);
+    put_varint(&mut out, state.arrival_seq);
+    put_i64(&mut out, state.max_event_ts);
     for c in state.counters {
-        put_varint(&mut body, c);
+        put_varint(&mut out, c);
     }
     let mut sessions: Vec<&SessionState> = state.sessions.iter().collect();
     sessions.sort_by_key(|s| s.mmsi);
-    put_varint(&mut body, sessions.len() as u64);
+    put_varint(&mut out, sessions.len() as u64);
     for s in sessions {
-        put_session(&mut body, s);
+        put_session(&mut out, s);
     }
-
-    let mut out = Vec::with_capacity(MAGIC_CKP.len() + body.len() + 32);
-    out.extend_from_slice(MAGIC_CKP);
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc64(&body).to_le_bytes());
+    let body_len = (out.len() - body_at) as u64;
+    out[len_at..body_at].copy_from_slice(&body_len.to_le_bytes());
+    let body_crc = crc64(&out[body_at..]);
+    out.extend_from_slice(&body_crc.to_le_bytes());
     let file_len = out.len() as u64 + 16;
     out.extend_from_slice(&file_len.to_le_bytes());
     out.extend_from_slice(FOOTER_MAGIC);

@@ -128,7 +128,8 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 /// The journal tail as a resume target.
 enum Tail {
     /// An unsealed final segment with a clean (possibly repaired-on-
-    /// resume) prefix.
+    /// resume) prefix. Its batches have been moved into
+    /// [`WalLoad::batches`]; resume reads only the framing fields.
     Resume(PathBuf, wal::SegmentLoad),
     /// The final segment's header itself was torn — nothing durable in
     /// it; resume recreates the file in place.
@@ -201,7 +202,7 @@ impl WalReader {
             let path = dir.join(name);
             let bytes = std::fs::read(&path).map_err(|e| JournalError::Wal(WalError::Io(e)))?;
             let last = i + 1 == segments;
-            let load = if last {
+            let mut load = if last {
                 match wal::read_segment(&bytes) {
                     Ok(load) => load,
                     // The tail's own header never became durable: the
@@ -223,10 +224,11 @@ impl WalReader {
                     "segment header disagrees with its name",
                 ));
             }
-            let seg_next = load.first_seq + load.batches.len() as u64;
             torn_bytes += load.torn_bytes;
-            batches.extend(load.batches.iter().cloned());
-            next_seq = Some(seg_next);
+            // Moved, not cloned: the tail's resume needs only the
+            // load's `next_seq`, which survives the move.
+            batches.append(&mut load.batches);
+            next_seq = Some(load.next_seq);
             if last && !load.sealed {
                 tail = Some(Tail::Resume(path, load));
             }
