@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The conformance gates every PR must pass, runnable locally.
 #
-#   ./ci.sh [gate|stream|recovery|reactor|analysis|all]   (default: gate)
+#   ./ci.sh [gate|stream|recovery|reactor|analysis|claims|all]   (default: gate)
 #
 #   gate     — formatting, release build, full test suite, xtask lint,
 #              and the end-to-end smoke tests (serve, read path, build,
@@ -34,6 +34,11 @@
 #              Checkers whose toolchain components are unavailable in
 #              this container skip LOUDLY with the reason; the pinned
 #              CI job runs them for real. See analysis/README.md.
+#   claims   — the paper's own claims as gates: route_eval (§4.1.3 A*
+#              route forecasts stay on the historical lane) and
+#              disruption_eval (the Suez blockage raises the anomaly
+#              rate; the port closure collapses port calls), both in
+#              release. Each binary exits 1 on any [MISS] verdict.
 #
 # See DESIGN.md §6 "Correctness tooling" for what each layer proves.
 set -euo pipefail
@@ -467,6 +472,16 @@ run_analysis() {
   echo "ci: analysis passed (skips, if any, are listed above)"
 }
 
+run_claims() {
+  echo "==> route forecasting claim (route_eval, §4.1.3)"
+  cargo run --release -q -p pol-bench --bin route_eval
+
+  echo "==> disruption detection claims (disruption_eval, §1/§2)"
+  cargo run --release -q -p pol-bench --bin disruption_eval
+
+  echo "ci: claims passed"
+}
+
 stage="${1:-gate}"
 case "$stage" in
   gate) run_gate ;;
@@ -474,15 +489,17 @@ case "$stage" in
   recovery) run_recovery ;;
   reactor) run_reactor ;;
   analysis) run_analysis ;;
+  claims) run_claims ;;
   all)
     run_gate
     run_stream
     run_recovery
     run_reactor
     run_analysis
+    run_claims
     ;;
   *)
-    echo "usage: ./ci.sh [gate|stream|recovery|reactor|analysis|all]" >&2
+    echo "usage: ./ci.sh [gate|stream|recovery|reactor|analysis|claims|all]" >&2
     exit 2
     ;;
 esac

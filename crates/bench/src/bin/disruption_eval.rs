@@ -7,6 +7,9 @@
 //!   rise relative to the held-out normal fleet.
 //! * Port closure: calls at the closed port vanish → its approach cells go
 //!   quiet (traffic-volume shift).
+//!
+//! Exits 1 when either verdict is `[MISS]`, so `ci.sh claims` fails on a
+//! regression of either claim.
 
 use pol_apps::AnomalyDetector;
 use pol_bench::{banner, build_inventory, experiment_scenario, port_id, TEST_SEED, TRAIN_SEED};
@@ -67,9 +70,10 @@ fn main() {
     println!("anomaly rate vs the normal-year inventory:");
     println!("  held-out normal fleet:     {:>6.2}%", r_normal * 100.0);
     println!("  Suez-blockage fleet:       {:>6.2}%", r_suez * 100.0);
+    let suez_ok = r_suez > r_normal;
     println!(
         "  [{}] blockage raises the anomaly rate ({}x)",
-        if r_suez > r_normal { "ok" } else { "MISS" },
+        if suez_ok { "ok" } else { "MISS" },
         if r_normal > 0.0 {
             format!("{:.1}", r_suez / r_normal)
         } else {
@@ -103,13 +107,10 @@ fn main() {
     println!("  moored reports <25km: normal {m_normal:>5}   closure {m_covid:>5}");
     // No normal-window calls means nothing could collapse: that is a
     // miss, not a vacuous pass.
+    let closure_ok = c_normal > 0 && c_covid * 2 < c_normal;
     println!(
         "  [{}] the closure is visible as a port-call collapse ({:.0}% of normal)",
-        if c_normal > 0 && c_covid * 2 < c_normal {
-            "ok"
-        } else {
-            "MISS"
-        },
+        if closure_ok { "ok" } else { "MISS" },
         100.0 * c_covid as f64 / c_normal.max(1) as f64
     );
     println!();
@@ -118,4 +119,8 @@ fn main() {
          any outliers from this e.g. Covid-19 or Suez Canal' — both events are \
          recovered here from the inventory alone."
     );
+    if !(suez_ok && closure_ok) {
+        // `ci.sh claims` gates on this: a MISS is a failed claim.
+        std::process::exit(1);
+    }
 }

@@ -34,8 +34,9 @@
 //! {100, 1k, 10k}-connection matrix after the normal endpoint phases and
 //! records it under `"open_connections"` in the JSON; rows of the
 //! deleted thread-per-connection core found in the previous `--out` file
-//! are carried forward under `"threaded_core_baseline"`. With
-//! `--connections`, `--min-rps` gates on the connection phase's
+//! are carried forward under `"threaded_core_baseline"`, and so are
+//! committed before/after records (one-line keys ending in `_pair`).
+//! With `--connections`, `--min-rps` gates on the connection phase's
 //! throughput instead.
 //!
 //! `--chaos` (needs a build with `--features pol-bench/chaos`) runs the
@@ -211,9 +212,9 @@ fn write_bench_json(
     cold: Option<&ColdStart>,
     top_dest_before_rps: Option<f64>,
 ) -> std::io::Result<()> {
-    let historical = std::fs::read_to_string(path)
-        .map(|t| threaded_baseline(&t))
-        .unwrap_or_default();
+    let previous = std::fs::read_to_string(path).unwrap_or_default();
+    let historical = threaded_baseline(&previous);
+    let pairs = committed_pairs(&previous);
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"pol-serve loopback load\",")?;
@@ -269,6 +270,9 @@ fn write_bench_json(
         writeln!(f, "    {}", historical.join(",\n    "))?;
         writeln!(f, "  ],")?;
     }
+    for pair in &pairs {
+        writeln!(f, "  {pair},")?;
+    }
     writeln!(f, "  \"endpoints\": [")?;
     for (i, p) in phases.iter().enumerate() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
@@ -300,6 +304,19 @@ fn threaded_baseline(previous: &str) -> Vec<String> {
     previous
         .lines()
         .filter(|l| l.contains("\"core\": \"threaded\""))
+        .map(|l| l.trim().trim_end_matches(',').to_string())
+        .collect()
+}
+
+/// Committed before/after records in a previously written
+/// `BENCH_serve.json`, verbatim: each is one top-level line whose key
+/// ends in `_pair` (e.g. `"inline_execution_pair": {...}`). They are
+/// measured by hand across two builds, so a fresh run carries them
+/// forward instead of dropping them.
+fn committed_pairs(previous: &str) -> Vec<String> {
+    previous
+        .lines()
+        .filter(|l| l.starts_with("  \"") && l.contains("_pair\": {"))
         .map(|l| l.trim().trim_end_matches(',').to_string())
         .collect()
 }

@@ -4,6 +4,9 @@
 //! the same route (new noise, new speed), build the transition graph, A*
 //! from the 30%-progress position, and score the forecast against the
 //! cells the new vessel actually crossed.
+//!
+//! Exits 1 when the verdict is `[MISS]`, so `ci.sh claims` fails on a
+//! regression of the claim.
 
 use pol_apps::RouteForecaster;
 use pol_bench::{
@@ -106,4 +109,8 @@ fn main() {
          operational)",
         if ok { "ok" } else { "MISS" }
     );
+    if !ok {
+        // `ci.sh claims` gates on this: a MISS is a failed claim.
+        std::process::exit(1);
+    }
 }

@@ -13,8 +13,10 @@
 //!   delta chain is encoded to the same image in memory.
 //! * **Loop.** A [`server::Server`] runs the epoll [`reactor`]: one
 //!   event loop owning every nonblocking socket, per-connection frame
-//!   state machines ([`conn::ConnState`]), and a bounded worker pool
-//!   reduced to pure request execution, so tens of thousands of
+//!   state machines ([`conn::ConnState`]), bounded-cost lookups answered
+//!   on the loop thread itself, and a bounded worker pool for the
+//!   requests whose cost grows with the data
+//!   ([`proto::Request::runs_inline`]), so tens of thousands of
 //!   mostly-idle connections cost no threads. Serving runs on Linux.
 //! * **Wire.** A length-prefixed binary protocol ([`proto`]) whose
 //!   decoders accept exactly [`proto::PROTO_VERSION`], with request
@@ -23,7 +25,8 @@
 //!   histograms ([`metrics`]).
 //!
 //! Operational posture: typed [`proto::Response::Busy`] backpressure
-//! per *request* at the event loop instead of unbounded queueing,
+//! per pool-class *request* at the event loop instead of unbounded
+//! queueing,
 //! per-frame size caps, write-stall timeouts, a slow-loris
 //! frame-assembly deadline anchored to each frame's first byte,
 //! hostile-input-safe decoding, and a draining shutdown. The matching

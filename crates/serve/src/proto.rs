@@ -216,6 +216,42 @@ impl Request {
             Request::Batch(children) => children.iter().all(Request::is_idempotent),
         }
     }
+
+    /// Whether the reactor answers this request on its own thread
+    /// instead of handing it to the worker pool.
+    ///
+    /// The rule: a request runs inline when its cost is bounded by a
+    /// constant — independent of the inventory's size and of the
+    /// request's own length — so it can never hold the event loop for
+    /// longer than a pool hand-off would cost. Measured execute p50 on
+    /// perfbench `serve_lookup` (traced, 2 vCPU): point, segment and
+    /// route summaries and eta at 3.5–4.9 µs, while the loop → worker →
+    /// eventfd → loop hand-offs around them cost ~10 µs of a 40 µs
+    /// round trip p50 (30 µs once they ran inline). Eta is bounded by
+    /// its estimator's `max_widening` rings around one cell.
+    ///
+    /// Everything whose cost grows with the data or the request goes to
+    /// the pool: scans (`BboxScan`, `TopDestinationCells`), a destination
+    /// prediction over a track of up to [`MAX_TRACK_POINTS`] positions
+    /// (83 µs p50), `Stats` (walks every endpoint histogram) and
+    /// `Batch`. The match is exhaustive on purpose: a new endpoint must
+    /// be classed here, not inherit a class silently.
+    pub fn runs_inline(&self) -> bool {
+        match self {
+            Request::Ping
+            | Request::Health
+            | Request::Ready
+            | Request::PointSummary { .. }
+            | Request::SegmentSummary { .. }
+            | Request::RouteSummary { .. }
+            | Request::Eta { .. } => true,
+            Request::BboxScan { .. }
+            | Request::TopDestinationCells { .. }
+            | Request::PredictDestination { .. }
+            | Request::Stats
+            | Request::Batch(_) => false,
+        }
+    }
 }
 
 /// A reply to one [`Request`].

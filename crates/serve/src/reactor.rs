@@ -3,23 +3,42 @@
 //!
 //! One reactor thread owns every socket. `epoll_wait` reports readiness;
 //! the loop accepts nonblocking connections, feeds readable sockets
-//! through their [`ConnState`] frame machines, and hands every decoded
-//! request to the bounded worker pool. Workers never touch sockets: they
-//! execute the query against a per-frame-pinned snapshot, then push the
-//! encoded response onto a completion queue and ring an `eventfd` — the
-//! loop wakes, moves the bytes into the connection's write buffer, and
-//! flushes with `EPOLLOUT` re-arming, so a peer that stops reading slows
-//! only itself.
+//! through their [`ConnState`] frame machines, and decodes each frame
+//! when it becomes its connection's turn. What happens next depends on
+//! the request's class ([`Request::runs_inline`]), fixed per endpoint:
 //!
-//! Backpressure is load-shedding *at the loop*: before a request is
-//! enqueued the loop takes an admission slot (`worker_threads +
+//! - **Inline** (ping, health, ready, point/segment/route summaries,
+//!   eta — bounded cost, a few µs): the loop itself pins the snapshot,
+//!   executes and encodes, inside a `catch_unwind` boundary, and puts
+//!   the reply straight into the connection's write buffer. No thread
+//!   hand-off, no eventfd round trip.
+//! - **Pool** (scans, destination prediction, stats, batches — cost
+//!   grows with the data or the request): the decoded request goes to
+//!   the bounded worker pool. Workers never touch sockets: they execute
+//!   against a per-frame-pinned snapshot, push the encoded response onto
+//!   a completion queue and ring an `eventfd`; the loop wakes and moves
+//!   the bytes into the write buffer.
+//!
+//! Either way the loop flushes with `EPOLLOUT` re-arming, so a peer that
+//! stops reading slows only itself, and a connection has at most one
+//! request executing at a time, so replies leave in request order.
+//!
+//! Backpressure is load-shedding *at the loop*, for pool-class requests
+//! only (inline requests never queue, so they take no slot): before one
+//! is enqueued the loop takes an admission slot (`worker_threads +
 //! max_pending` of them); when the slots are gone the request is
 //! answered with an immediate typed `Busy` frame and never queued.
 //! [`AdmitGuard`] releases the slot on drop, so a worker killed
 //! mid-request (the `serve.worker.kill` chaos fault) cannot leak one,
 //! and the `CompletionGuard` below pushes a close-the-connection
 //! completion from its own drop, so a killed request cannot wedge its
-//! connection either.
+//! connection either. The inline path fires the same failpoint under
+//! its `catch_unwind` and has the same outcome: that one connection
+//! closes without a reply, and the loop keeps serving.
+//!
+//! A frame that fails to decode is answered on the loop with one typed
+//! `Error`, in its place in the connection's order, and the connection
+//! closes once it has flushed.
 //!
 //! Shutdown ordering: `READY` flips (the `Server` marks draining before
 //! raising the stop flag), the loop drops the listener, in-flight and
@@ -34,7 +53,7 @@
 
 use crate::conn::{ConnState, ReadEvent};
 use crate::metrics::ServerMetrics;
-use crate::proto::{decode_request, encode_response, Response};
+use crate::proto::{decode_request, encode_response, Request, Response};
 use crate::server::{InventoryService, ServerConfig};
 use parking_lot::{Mutex, RwLock};
 use pol_engine::ThreadPool;
@@ -42,6 +61,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,8 +86,6 @@ struct Completion {
     /// Encoded response payload; `None` aborts the connection without a
     /// reply (a killed worker).
     reply: Option<Vec<u8>>,
-    /// Close once the reply has flushed (malformed peer).
-    close_after: bool,
 }
 
 /// State shared between the loop and the pool workers.
@@ -98,7 +116,6 @@ struct CompletionGuard {
     shared: Arc<LoopShared>,
     token: u64,
     reply: Option<Vec<u8>>,
-    close_after: bool,
 }
 
 impl Drop for CompletionGuard {
@@ -106,28 +123,26 @@ impl Drop for CompletionGuard {
         self.shared.complete(Completion {
             token: self.token,
             reply: self.reply.take(),
-            close_after: self.close_after,
         });
     }
 }
 
-/// The worker-side of one request: decode, execute against a pinned
-/// snapshot, encode — never touching a socket: chaos kill point before
-/// decode, one typed error then close for malformed frames, per-frame
-/// snapshot pinning for hot-reload atomicity.
+/// The worker side of one pool-class request: execute against a pinned
+/// snapshot and encode, never touching a socket. The chaos kill point
+/// comes first; the snapshot is pinned per frame for hot-reload
+/// atomicity.
 fn execute_job(
-    payload: Vec<u8>,
+    req: Request,
     token: u64,
     service: &RwLock<Arc<InventoryService>>,
     metrics: &ServerMetrics,
     shared: Arc<LoopShared>,
 ) {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut done = CompletionGuard {
         shared,
         token,
         reply: None,
-        close_after: true,
     };
     if pol_chaos::fire("serve.worker.kill") {
         // Err action: abort this connection without a reply (the Kill
@@ -135,25 +150,11 @@ fn execute_job(
         // catch_unwind; either way the guard reports the abort).
         return;
     }
-    match decode_request(&payload) {
-        Ok(req) => {
-            let endpoint = req.endpoint();
-            // The snapshot is resolved per frame: a hot reload swaps the
-            // Arc between requests, never under one.
-            let snapshot = Arc::clone(&service.read());
-            let resp = snapshot.execute(&req);
-            done.reply = Some(encode_response(&resp));
-            done.close_after = false;
-            metrics.record(endpoint, started.elapsed());
-        }
-        Err(e) => {
-            // One typed error, then the socket: resynchronising a
-            // corrupt binary stream is not worth the attack surface.
-            metrics.incr_malformed();
-            done.reply = Some(encode_response(&Response::Error(e.to_string())));
-            done.close_after = true;
-        }
-    }
+    // The snapshot is resolved per frame: a hot reload swaps the Arc
+    // between requests, never under one.
+    let snapshot = Arc::clone(&service.read());
+    done.reply = Some(encode_response(&snapshot.execute(&req)));
+    metrics.record(req.endpoint(), started.elapsed());
 }
 
 mod sys {
@@ -564,10 +565,11 @@ impl EventLoop {
         self.flush_conn(token);
     }
 
-    /// Queues or dispatches one decoded frame. Responses must leave
-    /// in request order and the protocol has no request ids, so a
-    /// connection has at most one request in the pool at a time;
-    /// later frames wait in its pending queue.
+    /// Queues or dispatches one frame. Responses must leave in request
+    /// order and the protocol has no request ids, so a connection has
+    /// at most one request in the pool at a time; later frames — inline
+    /// ones included — wait in its pending queue, still raw, and are
+    /// decoded when their turn comes.
     fn enqueue_frame(&mut self, token: u64, payload: Vec<u8>) {
         let Some(entry) = self.conns.get_mut(&token) else {
             return;
@@ -582,12 +584,35 @@ impl EventLoop {
         }
     }
 
-    /// Admission check + hand-off to the pool: the loop-level
-    /// expression of the typed Busy backpressure. Returns whether the
-    /// request is now in flight on the pool; `false` means it was
-    /// answered (shed with Busy) or the connection is gone, so the
-    /// caller may feed the next pending frame through immediately.
+    /// Decodes one frame and answers or hands it off by its class: a
+    /// malformed frame gets its typed `Error`, an inline request is
+    /// executed here, and a pool-class request passes the admission
+    /// check — the loop-level expression of the typed Busy
+    /// backpressure — and goes to the pool. Returns whether the request
+    /// is now in flight on the pool; `false` means it was answered
+    /// (inline, malformed, or shed with Busy) or the connection is
+    /// gone, so the caller may feed the next pending frame through
+    /// immediately.
     fn dispatch(&mut self, token: u64, payload: Vec<u8>) -> bool {
+        let req = match decode_request(&payload) {
+            Ok(req) => req,
+            Err(e) => {
+                // One typed error, then the socket: resynchronising a
+                // corrupt binary stream is not worth the attack surface.
+                self.metrics.incr_malformed();
+                if let Some(entry) = self.conns.get_mut(&token) {
+                    let resp = Response::Error(e.to_string());
+                    entry.state.outbox.push_frame(&encode_response(&resp));
+                    entry.state.close_after_flush = true;
+                    entry.state.pending.clear();
+                }
+                return false;
+            }
+        };
+        if req.runs_inline() {
+            self.execute_inline(token, &req);
+            return false;
+        }
         if self.admitted.fetch_add(1, Ordering::Relaxed) >= self.admit_cap {
             self.admitted.fetch_sub(1, Ordering::Relaxed);
             self.metrics.incr_busy();
@@ -611,7 +636,7 @@ impl EventLoop {
         let shared = Arc::clone(&self.shared);
         let submitted = self.pool.execute(move || {
             let _admitted = guard;
-            execute_job(payload, token, &service, &metrics, shared);
+            execute_job(req, token, &service, &metrics, shared);
             // Chaos: keep holding the admission slot after the
             // completion has been posted — the window where a
             // pipelined connection's next pending frame meets a full
@@ -628,9 +653,36 @@ impl EventLoop {
         true
     }
 
+    /// Answers one inline-class request on the loop thread: the same
+    /// kill point, per-frame snapshot pin, execute and encode as
+    /// [`execute_job`], inside a `catch_unwind` boundary. A `Kill` or
+    /// `Err` fault closes only this connection without a reply — the
+    /// outcome `CompletionGuard` gives a killed worker — and the loop
+    /// carries on serving every other socket.
+    fn execute_inline(&mut self, token: u64, req: &Request) {
+        let started = Instant::now();
+        let service = &self.service;
+        let reply = catch_unwind(AssertUnwindSafe(|| {
+            if pol_chaos::fire("serve.worker.kill") {
+                return None;
+            }
+            let snapshot = Arc::clone(&service.read());
+            Some(encode_response(&snapshot.execute(req)))
+        }));
+        match reply {
+            Ok(Some(bytes)) => {
+                self.metrics.record(req.endpoint(), started.elapsed());
+                if let Some(entry) = self.conns.get_mut(&token) {
+                    entry.state.outbox.push_frame(&bytes);
+                }
+            }
+            Ok(None) | Err(_) => self.close_conn(token),
+        }
+    }
+
     /// Moves worker results into their connections' write buffers
-    /// and feeds each connection's next pending frame through
-    /// admission.
+    /// and feeds each connection's next pending frames through
+    /// [`EventLoop::dispatch`].
     fn apply_completions(&mut self) {
         let done = std::mem::take(&mut *self.shared.completions.lock());
         for completion in done {
@@ -642,26 +694,20 @@ impl EventLoop {
             match completion.reply {
                 Some(bytes) => {
                     entry.state.outbox.push_frame(&bytes);
-                    if completion.close_after {
-                        entry.state.close_after_flush = true;
-                        entry.state.pending.clear();
-                    } else {
-                        // Keep the pipeline moving even when
-                        // admission sheds: a shed answers its frame
-                        // with Busy but leaves in_flight false, so
-                        // stopping here would strand the rest of the
-                        // queue with no completion to ever pop it.
-                        // Drain until a dispatch is admitted (the
-                        // next completion resumes) or the queue is
-                        // empty — every popped frame gets an answer.
-                        while let Some(next) = self
-                            .conns
-                            .get_mut(&token)
-                            .and_then(|entry| entry.state.pending.pop_front())
-                        {
-                            if self.dispatch(token, next) {
-                                break;
-                            }
+                    // Keep the pipeline moving: an inline answer, a
+                    // malformed frame's Error and a shed's Busy all
+                    // leave in_flight false, so stopping here would
+                    // strand the rest of the queue with no completion
+                    // to ever pop it. Drain until a dispatch goes to
+                    // the pool (its completion resumes) or the queue is
+                    // empty — every popped frame gets an answer.
+                    while let Some(next) = self
+                        .conns
+                        .get_mut(&token)
+                        .and_then(|entry| entry.state.pending.pop_front())
+                    {
+                        if self.dispatch(token, next) {
+                            break;
                         }
                     }
                 }
@@ -762,7 +808,7 @@ impl EventLoop {
     /// Stops accepting: drop the listener (new connects get RST),
     /// then let the drain deadline bound the rest. `READY` already
     /// flipped — `Server::shutdown` marks draining before raising
-    /// the stop flag, and workers answer `READY` from metrics.
+    /// the stop flag, and `READY` is answered from metrics.
     fn begin_drain(&mut self) {
         self.drain_deadline = Some(Instant::now() + self.config.drain_timeout);
         if let Some(listener) = self.listener.take() {

@@ -6,11 +6,14 @@
 //! end in the same place: a [`MappedStore`] over a validated POLINV3
 //! image, pinned per request behind an `RwLock<Arc<_>>` so a hot reload
 //! swaps it between requests and never under one. The
-//! [`crate::reactor`] event loop owns every socket and hands decoded
-//! requests to a bounded worker pool; admission beyond
-//! `worker_threads + max_pending` is shed per request with a typed
-//! [`Response::Busy`], and sockets beyond `max_connections` are turned
-//! away with one.
+//! [`crate::reactor`] event loop owns every socket and decodes every
+//! frame. Bounded-cost lookups ([`Request::runs_inline`]: ping, health,
+//! ready, point/segment/route summaries, eta) are executed on the loop
+//! thread itself; scans, destination prediction, stats and batches go
+//! to a bounded worker pool. Only pool-class requests take an admission
+//! slot: beyond `worker_threads + max_pending` of them a request is shed
+//! with a typed [`Response::Busy`], and sockets beyond `max_connections`
+//! are turned away with one.
 //!
 //! The event loop is built before `start*` returns, so an
 //! `epoll_create1`/`eventfd` failure is that call's `io::Error`. Serving
@@ -45,10 +48,14 @@ use std::time::{Duration, Instant};
 /// Tunables for [`Server::start`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Request-execution worker threads.
+    /// Worker threads executing pool-class requests (those for which
+    /// [`Request::runs_inline`] is false: scans, destination prediction,
+    /// stats, batches). Inline lookups run on the event-loop thread and
+    /// do not use the pool.
     pub worker_threads: usize,
-    /// Requests admitted beyond the busy workers before new ones are
-    /// shed with [`Response::Busy`].
+    /// Pool-class requests admitted beyond the busy workers before new
+    /// ones are shed with [`Response::Busy`]. Inline requests take no
+    /// admission slot and are never shed.
     pub max_pending: usize,
     /// Event-loop tick: the shutdown and stall poll interval (capped at
     /// 100 ms).

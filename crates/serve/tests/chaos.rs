@@ -106,6 +106,32 @@ fn is_retryable_kind(e: &ClientError) -> bool {
     )
 }
 
+/// A cheap pool-class request (`Request::runs_inline` is false for
+/// scans): the admission, shedding and worker-kill tests need a request
+/// that actually takes the pool hop, which `Ping` no longer does.
+const POOL_BBOX: [f64; 4] = [-10.0, -10.0, 10.0, 10.0];
+
+fn pool_request() -> Request {
+    let [min_lat, min_lon, max_lat, max_lon] = POOL_BBOX;
+    Request::BboxScan {
+        min_lat,
+        min_lon,
+        max_lat,
+        max_lon,
+    }
+}
+
+fn framed(req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, &pol_serve::proto::encode_request(req)).unwrap();
+    out
+}
+
+fn bbox_scan(client: &mut Client) -> Result<Vec<u64>, ClientError> {
+    let [min_lat, min_lon, max_lat, max_lon] = POOL_BBOX;
+    client.bbox_scan(min_lat, min_lon, max_lat, max_lon)
+}
+
 #[test]
 fn fleet_survives_kills_delays_and_corrupt_reload() {
     let _serial = serial();
@@ -253,11 +279,12 @@ fn fleet_survives_kills_delays_and_corrupt_reload() {
 }
 
 /// The reactor sheds load per *request*, not per connection: while the
-/// only worker slot is pinned (a chaos-delayed request), a second
-/// connection's request is answered with an immediate typed `Busy` — and
-/// that connection stays open and is served normally once the slot
-/// frees. The `shed_at_loop` counter attributes the rejection to the
-/// event loop.
+/// only worker slot is pinned (a chaos-delayed pool request), a second
+/// connection's pool request is answered with an immediate typed `Busy`
+/// — and that connection stays open and is served normally once the
+/// slot frees. An inline request on a third connection is answered
+/// meanwhile: it never takes a slot. The `shed_at_loop` counter
+/// attributes the rejection to the event loop.
 #[test]
 fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     let _serial = serial();
@@ -271,8 +298,9 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     let addr = server.local_addr();
 
     reset();
-    // The first request to reach a worker sleeps 600 ms, pinning the
-    // single admission slot for a deterministic window.
+    // The first request to reach the kill point (the pinner's pool
+    // request) sleeps 600 ms, pinning the single admission slot for a
+    // deterministic window.
     configure(
         "serve.worker.kill",
         Trigger::NthHit {
@@ -282,7 +310,7 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     );
     let pinner = std::thread::spawn(move || {
         let mut client = Client::connect_with(addr, chaos_client_config(7)).unwrap();
-        client.ping().unwrap(); // delayed, then answered
+        bbox_scan(&mut client).unwrap(); // delayed, then answered
     });
     std::thread::sleep(Duration::from_millis(150)); // slot is pinned now
 
@@ -291,9 +319,7 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let payload = pol_serve::proto::encode_request(&Request::Ping);
-    let mut framed = Vec::new();
-    write_frame(&mut framed, &payload).unwrap();
+    let framed = framed(&pool_request());
     use std::io::Write;
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
@@ -302,12 +328,23 @@ fn reactor_sheds_at_the_loop_and_keeps_the_connection() {
         "pinned slot must shed the request with Busy"
     );
 
+    // An inline request needs no slot: a third connection is answered
+    // while the pool is still pinned.
+    let mut inline = Client::connect_with(addr, chaos_client_config(8)).unwrap();
+    match inline.request_once(&Request::Ping).unwrap() {
+        Response::Pong => {}
+        other => panic!("inline Ping must be answered while the pool is pinned, got {other:?}"),
+    }
+
     // The shed connection survives: once the slot frees, the very same
     // socket is served.
     pinner.join().unwrap();
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
-    assert!(matches!(decode_response(&reply).unwrap(), Response::Pong));
+    assert!(matches!(
+        decode_response(&reply).unwrap(),
+        Response::Cells(_)
+    ));
 
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 1, "shed_at_loop never counted");
@@ -352,11 +389,9 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let payload = pol_serve::proto::encode_request(&Request::Ping);
-    let mut framed = Vec::new();
-    write_frame(&mut framed, &payload).unwrap();
-    // Four requests in one burst: the first dispatches, the other three
-    // queue behind it in the connection's pending queue.
+    let framed = framed(&pool_request());
+    // Four pool requests in one burst: the first dispatches, the other
+    // three queue behind it in the connection's pending queue.
     let mut burst = Vec::new();
     for _ in 0..4 {
         burst.extend_from_slice(&framed);
@@ -368,7 +403,7 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     // then one typed Busy per shed follow-up — none goes unanswered.
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
     assert!(
-        matches!(decode_response(&reply).unwrap(), Response::Pong),
+        matches!(decode_response(&reply).unwrap(), Response::Cells(_)),
         "first pipelined request must be served"
     );
     for i in 1..4 {
@@ -384,7 +419,10 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     std::thread::sleep(Duration::from_millis(700));
     stream.write_all(&framed).unwrap();
     let reply = read_frame(&mut stream, 1 << 20).unwrap();
-    assert!(matches!(decode_response(&reply).unwrap(), Response::Pong));
+    assert!(matches!(
+        decode_response(&reply).unwrap(),
+        Response::Cells(_)
+    ));
 
     let snap = server.metrics().snapshot();
     assert!(snap.shed_at_loop >= 3, "pop-path sheds must be counted");
@@ -409,14 +447,15 @@ fn killed_workers_do_not_leak_admission_slots() {
 
     reset();
     configure("serve.worker.kill", Trigger::Always(FaultAction::Kill));
-    // Every request meets a kill; with retries exhausted each attempt
-    // fails with a transport error. The slots must all be released.
+    // Every pool request meets a kill; with retries exhausted each
+    // attempt fails with a transport error. The slots must all be
+    // released.
     for seed in 0..6u64 {
         let mut cfg = chaos_client_config(seed);
         cfg.retry.max_attempts = 2;
         cfg.retry.deadline = Duration::from_secs(3);
         let mut client = Client::connect_with(addr, cfg).unwrap();
-        let err = client.ping().unwrap_err();
+        let err = bbox_scan(&mut client).unwrap_err();
         assert!(is_retryable_kind(&err), "unexpected error: {err}");
     }
     assert!(stats("serve.worker.kill").fired >= 6);
@@ -424,11 +463,71 @@ fn killed_workers_do_not_leak_admission_slots() {
     // Disarmed: the very next connection is admitted and served.
     reset();
     let mut client = Client::connect_with(addr, chaos_client_config(42)).unwrap();
-    client.ping().unwrap();
+    bbox_scan(&mut client).unwrap();
     assert_eq!(
         server.metrics().snapshot().busy_rejections,
         0,
         "kills leaked admission slots into Busy shedding"
     );
+    server.shutdown();
+}
+
+/// The inline path keeps the worker-kill isolation: a `Kill` fault on an
+/// inline `PointSummary` unwinds only as far as the loop's
+/// `catch_unwind`, closes that one socket without a reply, and the loop
+/// thread keeps serving every other connection — without shedding
+/// anything.
+#[test]
+fn killed_inline_request_closes_only_its_connection() {
+    let _serial = serial();
+    let reference = sample_inventory(50);
+    let config = ServerConfig {
+        worker_threads: 1,
+        max_pending: 0,
+        read_timeout: Duration::from_millis(25),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let pos = LatLon::new(-45.0, -155.0).unwrap();
+    let point = Request::PointSummary {
+        lat: pos.lat(),
+        lon: pos.lon(),
+    };
+    assert!(point.runs_inline());
+
+    // A bystander connected before the fault, left idle across it.
+    let mut bystander = Client::connect_with(addr, chaos_client_config(3)).unwrap();
+    bystander.ping().unwrap();
+
+    reset();
+    configure("serve.worker.kill", Trigger::OneShot(FaultAction::Kill));
+    let mut victim = std::net::TcpStream::connect(addr).unwrap();
+    victim
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    use std::io::Write;
+    victim.write_all(&framed(&point)).unwrap();
+    match read_frame(&mut victim, 1 << 20) {
+        Err(ProtoError::ConnectionClosed) | Err(ProtoError::Io(_)) => {}
+        other => panic!("killed inline request must close without a reply, got {other:?}"),
+    }
+    assert_eq!(stats("serve.worker.kill").fired, 1);
+
+    // The loop survived: the bystander and a fresh connection are both
+    // served, with the right answer.
+    let want = stats_bytes(reference.summary(cell_at(pos, res())));
+    let got = bystander.point_summary(pos.lat(), pos.lon()).unwrap();
+    assert_eq!(stats_bytes(got.as_ref()), want);
+    let mut fresh = Client::connect_with(addr, chaos_client_config(4)).unwrap();
+    let got = fresh.point_summary(pos.lat(), pos.lon()).unwrap();
+    assert_eq!(stats_bytes(got.as_ref()), want);
+    bbox_scan(&mut fresh).unwrap();
+    assert_eq!(
+        server.metrics().snapshot().busy_rejections,
+        0,
+        "an inline kill must not shed anything"
+    );
+    reset();
     server.shutdown();
 }

@@ -25,6 +25,13 @@
 //!    hand-off: completions pushed before a wake are observed by the
 //!    loop's drain-then-apply order in every interleaving (the classic
 //!    lost-wakeup shape: drain the eventfd *before* taking the queue).
+//!
+//! Models 2, 4 and 5 cover the pool path only. Inline-class requests
+//! (`Request::runs_inline`) are executed on the reactor thread itself:
+//! they take no admission slot, post no completion and ring no eventfd,
+//! so they add no cross-thread hand-off to model. Their kill isolation
+//! is a `catch_unwind` on one thread, covered by the chaos suite's
+//! `killed_inline_request_closes_only_its_connection`.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};

@@ -14,7 +14,7 @@ use pol_core::Inventory;
 use pol_geo::{BBox, LatLon};
 use pol_hexgrid::{cell_at, CellIndex, Resolution};
 use pol_serve::proto::{read_frame, write_frame, ProtoError, Request, Response, PROTO_VERSION};
-use pol_serve::{Client, ClientError, Server, ServerConfig};
+use pol_serve::{Client, ClientError, InventoryService, Server, ServerConfig, ServerMetrics};
 use pol_sketch::hash::FxHashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -596,6 +596,8 @@ fn batched_requests_equal_single_requests() {
 /// The reactor's event-loop counters are live: an attached connection
 /// shows in the gauge, readiness events and eventfd wakeups accumulate
 /// under traffic, and the gauge returns to zero when the peer leaves.
+/// `Ping` runs inline on the loop and rings no eventfd, so one
+/// pool-class scan goes first: its completion is the wakeup counted.
 #[test]
 fn reactor_core_event_counters_are_live() {
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
@@ -603,6 +605,7 @@ fn reactor_core_event_counters_are_live() {
     for _ in 0..10 {
         client.ping().unwrap();
     }
+    client.bbox_scan(-10.0, -10.0, 10.0, 10.0).unwrap();
     let report = client.stats().unwrap();
     assert_eq!(report.open_connections, 1);
     assert!(report.peak_connections >= 1);
@@ -620,6 +623,126 @@ fn reactor_core_event_counters_are_live() {
         0,
         "gauge must return to zero after the peer disconnects"
     );
+    server.shutdown();
+}
+
+/// Inline requests keep their place in a connection's order: pipelined
+/// in one write, inline lookups queued behind an in-flight pool request
+/// wait for it, and every reply arrives in request order, byte-equal to
+/// [`InventoryService::execute`] on the same inventory.
+#[test]
+fn pipelined_inline_and_pool_requests_answer_in_order() {
+    const N: usize = 300;
+    let direct =
+        InventoryService::new(sample_inventory(N), Arc::new(ServerMetrics::new())).unwrap();
+    let mut server = Server::start(sample_inventory(N), "127.0.0.1:0", test_config()).unwrap();
+    let i = 17usize;
+    let (lat, lon) = (-55.0 + (i % 111) as f64, -170.0 + (i % 340) as f64);
+    let segment = MarketSegment::from_id((i % 7) as u8).unwrap();
+    let (origin, dest) = ((i % 6) as u16, (i % 8) as u16);
+    let track: Vec<(f64, f64)> = (0..6)
+        .map(|k| {
+            (
+                -55.0 + ((i + k) % 111) as f64,
+                -170.0 + ((i + k) % 340) as f64,
+            )
+        })
+        .collect();
+    let requests = [
+        Request::PredictDestination {
+            segment: None,
+            top_n: 3,
+            track,
+        },
+        Request::PointSummary { lat, lon },
+        Request::BboxScan {
+            min_lat: lat - 4.0,
+            min_lon: lon - 4.0,
+            max_lat: lat + 4.0,
+            max_lon: lon + 4.0,
+        },
+        Request::Eta {
+            lat,
+            lon,
+            segment: Some(segment),
+            route: Some((origin, dest)),
+        },
+        Request::Ping,
+        Request::RouteSummary {
+            lat,
+            lon,
+            origin,
+            dest,
+            segment,
+        },
+    ];
+    let inline: Vec<bool> = requests.iter().map(Request::runs_inline).collect();
+    assert_eq!(inline, [false, true, false, true, true, true]);
+
+    let mut burst = Vec::new();
+    for req in &requests {
+        write_frame(&mut burst, &pol_serve::proto::encode_request(req)).unwrap();
+    }
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&burst).unwrap();
+    stream.flush().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    for (k, req) in requests.iter().enumerate() {
+        let reply = read_frame(&mut stream, 1 << 20).unwrap();
+        let want = pol_serve::proto::encode_response(&direct.execute(req));
+        assert_eq!(
+            reply,
+            want,
+            "reply {k} ({:?}) out of order or wrong",
+            req.endpoint()
+        );
+    }
+    server.shutdown();
+}
+
+/// A malformed frame queued behind a pool request keeps its place: the
+/// pool reply comes first, then the typed `Error`, then the close —
+/// frames after it are never answered.
+#[test]
+fn malformed_frame_behind_a_pool_request_is_answered_in_order() {
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
+    let scan = Request::BboxScan {
+        min_lat: -30.0,
+        min_lon: -160.0,
+        max_lat: 0.0,
+        max_lon: -120.0,
+    };
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &pol_serve::proto::encode_request(&scan)).unwrap();
+    write_frame(&mut burst, &[PROTO_VERSION, 250]).unwrap(); // unknown tag
+    write_frame(
+        &mut burst,
+        &pol_serve::proto::encode_request(&Request::Ping),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&burst).unwrap();
+    stream.flush().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let reply = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(matches!(
+        pol_serve::proto::decode_response(&reply).unwrap(),
+        Response::Cells(_)
+    ));
+    let reply = read_frame(&mut stream, 1 << 20).unwrap();
+    match pol_serve::proto::decode_response(&reply).unwrap() {
+        Response::Error(msg) => assert!(msg.contains("tag"), "{msg}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    match read_frame(&mut stream, 1 << 20) {
+        Err(ProtoError::ConnectionClosed) | Err(ProtoError::Io(_)) => {}
+        other => panic!("expected closed connection, got {other:?}"),
+    }
+    assert_eq!(server.metrics().snapshot().malformed_frames, 1);
     server.shutdown();
 }
 

@@ -262,6 +262,23 @@ proptest! {
         bytes[pos] ^= flip;
         let _ = decode_response(&bytes);
     }
+
+    /// The reactor's execution class is fixed per endpoint: exactly the
+    /// bounded-cost lookups run inline on the event loop; scans,
+    /// destination prediction, stats and every batch take the pool.
+    #[test]
+    fn execution_class_is_fixed_per_endpoint(req in arb_request()) {
+        const INLINE: [Endpoint; 7] = [
+            Endpoint::Ping,
+            Endpoint::Health,
+            Endpoint::Ready,
+            Endpoint::PointSummary,
+            Endpoint::SegmentSummary,
+            Endpoint::RouteSummary,
+            Endpoint::Eta,
+        ];
+        prop_assert_eq!(req.runs_inline(), INLINE.contains(&req.endpoint()));
+    }
 }
 
 /// Pins every wire tag byte to its named opcode constant: a reordered
