@@ -35,10 +35,13 @@
 #              this container skip LOUDLY with the reason; the pinned
 #              CI job runs them for real. See analysis/README.md.
 #   claims   — the paper's own claims as gates: route_eval (§4.1.3 A*
-#              route forecasts stay on the historical lane) and
+#              route forecasts stay on the historical lane),
 #              disruption_eval (the Suez blockage raises the anomaly
-#              rate; the port closure collapses port calls), both in
-#              release. Each binary exits 1 on any [MISS] verdict.
+#              rate; the port closure collapses port calls), eta_eval
+#              (§4.1.2 historical ATA beats the great-circle ETA on
+#              known routes) and destination_eval (§4.1.3 destination
+#              accuracy grows along the voyage), all in release. Each
+#              binary exits 1 on any [MISS] verdict.
 #
 # See DESIGN.md §6 "Correctness tooling" for what each layer proves.
 set -euo pipefail
@@ -478,6 +481,12 @@ run_claims() {
 
   echo "==> disruption detection claims (disruption_eval, §1/§2)"
   cargo run --release -q -p pol-bench --bin disruption_eval
+
+  echo "==> ETA estimation claim (eta_eval, §4.1.2)"
+  cargo run --release -q -p pol-bench --bin eta_eval
+
+  echo "==> destination prediction claim (destination_eval, §4.1.3)"
+  cargo run --release -q -p pol-bench --bin destination_eval
 
   echo "ci: claims passed"
 }

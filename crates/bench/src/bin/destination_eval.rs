@@ -2,6 +2,9 @@
 //! held-out voyage's reports to the predictor in order and measure top-1 /
 //! top-3 accuracy as the voyage progresses (the paper describes the
 //! mechanism; this binary quantifies it).
+//!
+//! Exits 1 when the verdict is `[MISS]`, so `ci.sh claims` fails on a
+//! regression of the claim.
 
 use pol_apps::DestinationPredictor;
 use pol_bench::{
@@ -94,4 +97,8 @@ fn main() {
          paper's year of 60 000 vessels saturates them — accuracy here is \
          bounded by that scale gap, the *shape* is the reproduced claim)"
     );
+    if !improves {
+        // `ci.sh claims` gates on this: a MISS is a failed claim.
+        std::process::exit(1);
+    }
 }

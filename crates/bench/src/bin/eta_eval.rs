@@ -9,6 +9,9 @@
 //! * naive — great-circle distance to destination over an assumed speed
 //!   (no lane knowledge: underestimates any route that bends),
 //! * truth — the replayed vessel's actual remaining time.
+//!
+//! Exits 1 when the verdict is `[MISS]`, so `ci.sh claims` fails on a
+//! regression of the claim.
 
 use pol_apps::{naive_eta_secs, EtaEstimator};
 use pol_bench::{
@@ -85,14 +88,11 @@ fn main() {
         naive_total += mae(&naive_err[fi]);
     }
     println!();
+    let ok = inv_total < naive_total;
     println!(
         "[{}] on known routes, the inventory's historical-ATA estimate beats the \
          great-circle baseline ({:.1} h vs {:.1} h mean MAE)",
-        if inv_total < naive_total {
-            "ok"
-        } else {
-            "MISS"
-        },
+        if ok { "ok" } else { "MISS" },
         inv_total / fractions.len() as f64,
         naive_total / fractions.len() as f64
     );
@@ -102,4 +102,8 @@ fn main() {
          advanced ETA estimators'; no accuracy table is reported, so the claim \
          under reproduction is the qualitative one above."
     );
+    if !ok {
+        // `ci.sh claims` gates on this: a MISS is a failed claim.
+        std::process::exit(1);
+    }
 }

@@ -12,7 +12,7 @@
 
 use pol_bench::alloc::{snapshot, CountingAlloc};
 use pol_bench::{build_inventory_on, BuildExecutor};
-use pol_core::{codec, PipelineConfig};
+use pol_core::{codec, run_fused, PipelineConfig};
 use pol_engine::Engine;
 use pol_fleetsim::emit::EmissionConfig;
 use pol_fleetsim::scenario::{generate, ScenarioConfig};
@@ -141,5 +141,53 @@ fn columnar_encode_allocation_bytes_stay_pinned() {
         "columnar::to_bytes allocated {ratio:.3}x its image ({} bytes for {})",
         delta.bytes,
         image.len()
+    );
+}
+
+/// Bytes a steady-state `run_fused` allocates (the input clone
+/// excluded) on one worker, whose warm scratch makes the figure
+/// deterministic. The scenario is sparse in reports and wide in space,
+/// so the 2 KB per-key accumulators dominate: 13,332 entries from 56,231
+/// records. When the radix merge's output was flattened into one `Vec`
+/// and re-hashed into one map (with every merge task's map grown from
+/// empty and copied into a `Vec` first) this measured 401,285,543
+/// bytes; with the merge tasks' maps kept as the inventory's shards,
+/// 191,549,527. The budget is that plus 10%: one more copy of the
+/// accumulators (~29 MB here) blows through it.
+#[test]
+fn fused_steady_state_allocation_bytes_stay_pinned() {
+    let _serial = serial();
+    let ds = generate(&ScenarioConfig {
+        n_vessels: 30,
+        duration_days: 7,
+        emission: EmissionConfig {
+            interval_scale: 40.0,
+            ..EmissionConfig::default()
+        },
+        ..scenario()
+    });
+    let cfg = PipelineConfig::default();
+    let ports = pol_bench::port_sites(cfg.port_radius_km);
+    let engine = Engine::new(1);
+    // Warm-up: first run allocates the worker's scratch arenas.
+    let warm = run_fused(&engine, ds.positions.clone(), &ds.statics, &ports, &cfg).unwrap();
+    drop(warm);
+
+    let positions = ds.positions.clone();
+    let before = snapshot();
+    let steady = run_fused(&engine, positions, &ds.statics, &ports, &cfg).unwrap();
+    let delta = snapshot().since(before);
+    eprintln!(
+        "fused steady-state: {} bytes in {} allocs for {} entries",
+        delta.bytes,
+        delta.allocs,
+        steady.inventory.len()
+    );
+    assert_eq!(steady.inventory.len(), 13_332, "the workload changed");
+    assert!(
+        delta.bytes < 210_704_480,
+        "fused steady-state allocated {} bytes for {} entries",
+        delta.bytes,
+        steady.inventory.len()
     );
 }

@@ -40,8 +40,23 @@
 //!   equals the staged path's whole-partition sort by trip id;
 //! * group keys fan out `[Cell, CellType, CellRoute]` per record, giving
 //!   identical accumulator insertion order, and the reduce half is the
-//!   same [`pol_engine::merge_combiner_shards`] the staged
-//!   `aggregate_by_key` uses.
+//!   same per-shard merge the staged `aggregate_by_key` uses
+//!   ([`pol_engine::merge_combiner_maps`], which
+//!   [`pol_engine::merge_combiner_shards`] wraps).
+//!
+//! ## The merge output is the inventory
+//!
+//! The staged path flattens its merge output into a `Dataset` and
+//! re-hashes it into a one-map [`Inventory`]. The fused path does
+//! neither: [`pol_engine::merge_combiner_maps`] hands back the merge
+//! tasks' own maps, one per radix shard, and [`Inventory::from_shards`]
+//! adopts them as its storage. Each [`CellStats`] accumulator (about
+//! 2 KB, its sketches inline) is moved once into its shard's map, which
+//! is sized before the merge starts, and never again: no rehash, no
+//! flattened `Vec`, no second map. Keys stay where `radix_partition` put
+//! them (`hash64(key) % shards`), so lookups find their shard by the
+//! same rule, and the encoders sort entries by key, so the bytes are
+//! those of the staged build.
 
 use crate::clean::{enrich_one, segment_lookup, CleanReport, VesselCleaner};
 use crate::config::PipelineConfig;
@@ -53,7 +68,7 @@ use crate::project::project_trip;
 use crate::records::{CellPoint, EnrichedReport, PortSite, TripPoint};
 use crate::trips::{extract_for_vessel_with, Geofence, TripTracker};
 use pol_ais::{PositionReport, StaticReport};
-use pol_engine::{merge_combiner_shards, radix_partition, Engine, StageReport};
+use pol_engine::{merge_combiner_maps, radix_partition, Engine, StageReport};
 use pol_hexgrid::CellIndex;
 use pol_sketch::hash::{hash64, FxHashMap};
 use pol_sketch::MergeSketch;
@@ -329,13 +344,13 @@ pub fn run_fused(
         .flat_map(|w| w.iter())
         .map(|s| s.len() as u64)
         .sum();
-    let stats = merge_combiner_shards(
+    let stats = merge_combiner_maps(
         engine,
         "fused:aggregate",
         sharded,
         |a: &mut CellStats, o| a.merge(&o),
     )?;
-    let group_entries = stats.count() as u64;
+    let group_entries = stats.iter().map(|m| m.len() as u64).sum();
     engine.metrics().record(StageReport {
         name: "fused:aggregate".to_string(),
         input_records: projected_count * 3,
@@ -344,7 +359,8 @@ pub fn run_fused(
         wall: started.elapsed(),
     });
 
-    let inventory = Inventory::from_dataset(cfg.resolution, stats, projected_count);
+    // The merge tasks' maps become the inventory as they are.
+    let inventory = Inventory::from_shards(cfg.resolution, stats, projected_count);
     let output = cleaned_count;
     Ok(PipelineOutput {
         inventory,
@@ -374,7 +390,8 @@ pub fn run_fused(
 /// `engine.default_partitions()` buckets by `hash64(mmsi) % num`, each
 /// bucket observes its vessels in ascending-MMSI order with the same
 /// `[Cell, CellType, CellRoute]` fan-out per point, and the reduce half is
-/// the same [`pol_engine::merge_combiner_shards`] radix merge.
+/// the same [`pol_engine::merge_combiner_maps`] radix merge, whose
+/// per-shard maps become the inventory as they are.
 ///
 /// This is the streaming session layer's (pol-stream) close path: sessions
 /// clean/extract/project incrementally, retain each vessel's cell points
@@ -426,7 +443,7 @@ pub fn fold_projected(
         .flat_map(|w| w.iter())
         .map(|s| s.len() as u64)
         .sum();
-    let stats = merge_combiner_shards(
+    let stats = merge_combiner_maps(
         engine,
         "stream:aggregate",
         sharded,
@@ -435,11 +452,11 @@ pub fn fold_projected(
     engine.metrics().record(StageReport {
         name: "stream:fold".to_string(),
         input_records: projected_count,
-        output_records: stats.count() as u64,
+        output_records: stats.iter().map(|m| m.len() as u64).sum(),
         shuffled_records: combiner_entries,
         wall: started.elapsed(),
     });
-    Ok(Inventory::from_dataset(
+    Ok(Inventory::from_shards(
         cfg.resolution,
         stats,
         projected_count,

@@ -6,7 +6,7 @@ use pol_ais::types::MarketSegment;
 use pol_engine::Dataset;
 use pol_geo::BBox;
 use pol_hexgrid::{cell_center, num_cells, CellIndex, Resolution};
-use pol_sketch::hash::FxHashMap;
+use pol_sketch::hash::{hash64, FxHashMap};
 use pol_sketch::MergeSketch;
 use std::borrow::Cow;
 
@@ -33,8 +33,7 @@ pub struct CoverageReport {
 /// cell-keyed lookups at the three grouping-set levels plus the grid
 /// resolution. Abstracting that surface lets the same estimators run
 /// against the in-memory [`Inventory`] *and* against serving-side stores
-/// (e.g. `pol-serve`'s sharded read-only store, or its mmap-backed
-/// columnar store).
+/// (e.g. `pol-serve`'s mmap-backed columnar store).
 ///
 /// Lookups return [`Cow`] so heap stores stay zero-copy
 /// (`Cow::Borrowed` straight out of their maps) while zero-*deserialize*
@@ -82,9 +81,17 @@ impl InventoryQuery for Inventory {
 }
 
 /// The queryable global inventory of per-cell statistical summaries.
+///
+/// The entries live in hash shards: key `k` is in
+/// `shards[hash64(k) % shards.len()]`, the rule the engine's
+/// `radix_partition` scatters by. A fused build or a stream fold hands
+/// over the radix merge's per-shard maps as they are
+/// ([`Inventory::from_shards`]), so no 2 KB [`CellStats`] is copied or
+/// re-hashed after the merge; a decoded inventory is the one-shard case
+/// ([`Inventory::from_entries`]). The shard count is never zero.
 pub struct Inventory {
     resolution: Resolution,
-    entries: FxHashMap<GroupKey, CellStats>,
+    shards: Vec<FxHashMap<GroupKey, CellStats>>,
     total_records: u64,
     /// Occupied `(cell)`-grouping-set cells with their centres, sorted by
     /// centre latitude — built once at construction so bbox queries
@@ -92,10 +99,16 @@ pub struct Inventory {
     cell_index: Vec<(pol_geo::LatLon, CellIndex)>,
 }
 
+/// The index of the shard that holds `key` among `shards` shards.
+fn shard_index(key: &GroupKey, shards: usize) -> usize {
+    (hash64(key) % shards as u64) as usize
+}
+
 /// The latitude-sorted cell index backing [`Inventory::cells_in`].
-fn build_cell_index(entries: &FxHashMap<GroupKey, CellStats>) -> Vec<(pol_geo::LatLon, CellIndex)> {
-    let mut index: Vec<(pol_geo::LatLon, CellIndex)> = entries
-        .keys()
+fn build_cell_index<'a>(
+    keys: impl Iterator<Item = &'a GroupKey>,
+) -> Vec<(pol_geo::LatLon, CellIndex)> {
+    let mut index: Vec<(pol_geo::LatLon, CellIndex)> = keys
         .filter_map(|k| match k {
             GroupKey::Cell(c) => Some((cell_center(*c), *c)),
             _ => None,
@@ -123,16 +136,39 @@ impl Inventory {
         )
     }
 
-    /// Builds directly from a key→stats map (deserialization path).
+    /// Builds directly from a key→stats map (deserialization path): the
+    /// one-shard inventory.
     pub fn from_entries(
         resolution: Resolution,
         entries: FxHashMap<GroupKey, CellStats>,
         total_records: u64,
     ) -> Inventory {
-        let cell_index = build_cell_index(&entries);
+        Inventory::from_shards(resolution, vec![entries], total_records)
+    }
+
+    /// Adopts hash-sharded maps as the inventory's storage, moving no
+    /// entry: the output of `pol_engine::merge_combiner_maps`. Key `k`
+    /// must be in `shards[hash64(k) % shards.len()]` (checked in debug
+    /// builds); an empty `shards` is one empty shard.
+    pub fn from_shards(
+        resolution: Resolution,
+        mut shards: Vec<FxHashMap<GroupKey, CellStats>>,
+        total_records: u64,
+    ) -> Inventory {
+        if shards.is_empty() {
+            shards.push(FxHashMap::default());
+        }
+        debug_assert!(
+            shards
+                .iter()
+                .enumerate()
+                .all(|(i, m)| m.keys().all(|k| shard_index(k, shards.len()) == i)),
+            "every key must sit in the shard its hash selects"
+        );
+        let cell_index = build_cell_index(shards.iter().flat_map(|m| m.keys()));
         Inventory {
             resolution,
-            entries,
+            shards,
             total_records,
             cell_index,
         }
@@ -150,30 +186,27 @@ impl Inventory {
 
     /// Total group-identifier entries across all grouping sets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.shards.iter().map(FxHashMap::len).sum()
     }
 
     /// Whether the inventory is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.shards.iter().all(FxHashMap::is_empty)
     }
 
     /// Entries belonging to one grouping set.
     pub fn len_of(&self, gs: GroupingSet) -> usize {
-        self.entries
-            .keys()
-            .filter(|k| k.grouping_set() == gs)
-            .count()
+        self.keys().filter(|k| k.grouping_set() == gs).count()
     }
 
     /// The all-traffic summary of a cell (GI = `(H3-index)`).
     pub fn summary(&self, cell: CellIndex) -> Option<&CellStats> {
-        self.entries.get(&GroupKey::Cell(cell))
+        self.get(&GroupKey::Cell(cell))
     }
 
     /// The per-vessel-type summary of a cell.
     pub fn summary_for(&self, cell: CellIndex, segment: MarketSegment) -> Option<&CellStats> {
-        self.entries.get(&GroupKey::CellType(cell, segment))
+        self.get(&GroupKey::CellType(cell, segment))
     }
 
     /// The per-route summary of a cell (GI = cell, origin, destination,
@@ -185,31 +218,27 @@ impl Inventory {
         dest: u16,
         segment: MarketSegment,
     ) -> Option<&CellStats> {
-        self.entries
-            .get(&GroupKey::CellRoute(cell, origin, dest, segment))
+        self.get(&GroupKey::CellRoute(cell, origin, dest, segment))
     }
 
     /// Raw access to an arbitrary group key.
     pub fn get(&self, key: &GroupKey) -> Option<&CellStats> {
-        self.entries.get(key)
+        self.shards[shard_index(key, self.shards.len())].get(key)
     }
 
-    /// Iterates all entries.
+    /// Iterates all entries, shard by shard.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &CellStats)> {
-        self.entries.iter()
+        self.shards.iter().flat_map(|m| m.iter())
     }
 
-    /// Decomposes the inventory into its parts — the inverse of
-    /// [`Inventory::from_entries`]. Serving-side stores use this to
-    /// repartition the entry map (e.g. into hash shards) without cloning
-    /// every sketch.
-    pub fn into_entries(self) -> (Resolution, FxHashMap<GroupKey, CellStats>, u64) {
-        (self.resolution, self.entries, self.total_records)
+    /// Iterates all keys, shard by shard.
+    fn keys(&self) -> impl Iterator<Item = &GroupKey> {
+        self.shards.iter().flat_map(|m| m.keys())
     }
 
     /// All occupied cells (the `(H3-index)` grouping set's key space).
     pub fn cells(&self) -> impl Iterator<Item = CellIndex> + '_ {
-        self.entries.keys().filter_map(|k| match k {
+        self.keys().filter_map(|k| match k {
             GroupKey::Cell(c) => Some(*c),
             _ => None,
         })
@@ -219,8 +248,7 @@ impl Inventory {
     /// full set of transition locations for a route key (§4.1.3's route
     /// forecasting retrieves exactly this).
     pub fn route_cells(&self, origin: u16, dest: u16, segment: MarketSegment) -> Vec<CellIndex> {
-        self.entries
-            .keys()
+        self.keys()
             .filter_map(|k| match k {
                 GroupKey::CellRoute(c, o, d, s) if *o == origin && *d == dest && *s == segment => {
                     Some(*c)
@@ -237,8 +265,7 @@ impl Inventory {
         dest: u16,
         segment: Option<MarketSegment>,
     ) -> Vec<CellIndex> {
-        self.entries
-            .iter()
+        self.iter()
             .filter_map(|(k, stats)| {
                 let cell = match (k, segment) {
                     (GroupKey::Cell(c), None) => *c,
@@ -297,16 +324,18 @@ impl Inventory {
             "cannot merge inventories at different resolutions"
         );
         self.total_records += other.total_records;
-        for (k, v) in &other.entries {
-            match self.entries.get_mut(k) {
+        let shards = self.shards.len();
+        for (k, v) in other.iter() {
+            let shard = &mut self.shards[shard_index(k, shards)];
+            match shard.get_mut(k) {
                 Some(mine) => mine.merge(v),
                 None => {
-                    self.entries.insert(*k, v.clone());
+                    shard.insert(*k, v.clone());
                 }
             }
         }
         // New cells may have appeared: rebuild the bbox-query index.
-        self.cell_index = build_cell_index(&self.entries);
+        self.cell_index = build_cell_index(self.keys());
     }
 }
 

@@ -32,7 +32,7 @@ pub mod profile;
 
 pub use dataset::Dataset;
 pub use error::{EngineError, EngineErrorKind};
-pub use keyed::{merge_combiner_shards, radix_partition, KeyedDataset};
+pub use keyed::{merge_combiner_maps, merge_combiner_shards, radix_partition, KeyedDataset};
 pub use metrics::{JobMetrics, StageReport, TaskProfile};
 pub use pool::ThreadPool;
 

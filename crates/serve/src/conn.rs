@@ -143,6 +143,10 @@ pub struct ConnState {
     pub outbox: WriteBuffer,
     /// Close once the outbox drains (malformed peer, shed follow-up).
     pub close_after_flush: bool,
+    /// The announced length of an over-cap frame read behind requests
+    /// still owed an answer. Its `Error` goes out in its turn, after
+    /// theirs; nothing more is read from the connection meanwhile.
+    pub oversized: Option<usize>,
     /// Peer sent EOF; no more reads, close when idle.
     pub peer_closed: bool,
     /// When the partially assembled frame's first byte arrived. A frame
@@ -163,6 +167,7 @@ impl ConnState {
             in_flight: false,
             outbox: WriteBuffer::new(),
             close_after_flush: false,
+            oversized: None,
             peer_closed: false,
             frame_started: None,
             last_write: now,
@@ -195,7 +200,7 @@ impl ConnState {
     /// wait in the kernel buffer; interest is re-armed as completions
     /// shrink the queue.
     pub fn read_paused(&self) -> bool {
-        self.pending.len() >= MAX_PENDING_FRAMES
+        self.pending.len() >= MAX_PENDING_FRAMES || self.oversized.is_some()
     }
 
     /// Pumps the read side after a readiness event: feeds reads through
@@ -236,7 +241,11 @@ impl ConnState {
                 }
                 Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(ProtoError::ConnectionClosed) => return ReadEvent::PeerClosed,
-                Err(ProtoError::FrameTooLarge(n)) => return ReadEvent::FrameTooLarge(n),
+                Err(ProtoError::FrameTooLarge(n)) => {
+                    // The frame will never be read: no stall clock runs.
+                    self.frame_started = None;
+                    return ReadEvent::FrameTooLarge(n);
+                }
                 Err(_) => return ReadEvent::Failed,
             }
         }
@@ -479,6 +488,14 @@ mod tests {
         assert!(conn.read_paused(), "full pipeline must stop reading");
         conn.pending.pop_front();
         assert!(!conn.read_paused(), "one free slot must resume reading");
+    }
+
+    #[test]
+    fn an_owed_oversized_answer_pauses_reading() {
+        let mut conn = ConnState::new(Instant::now());
+        assert!(!conn.read_paused());
+        conn.oversized = Some(1 << 30);
+        assert!(conn.read_paused());
     }
 
     #[test]

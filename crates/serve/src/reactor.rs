@@ -551,10 +551,9 @@ impl EventLoop {
                 ReadEvent::FrameTooLarge(n) => {
                     self.metrics.incr_malformed();
                     if let Some(entry) = self.conns.get_mut(&token) {
-                        let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
-                        entry.state.outbox.push_frame(&encode_response(&resp));
-                        entry.state.close_after_flush = true;
+                        entry.state.oversized = Some(n);
                     }
+                    self.answer_oversized(token);
                 }
                 ReadEvent::Failed => {
                     self.close_conn(token);
@@ -563,6 +562,29 @@ impl EventLoop {
             }
         }
         self.flush_conn(token);
+    }
+
+    /// Answers an over-cap frame with its `Error` and condemns the
+    /// connection — once every request read before it is answered, the
+    /// same turn a malformed frame gets in [`EventLoop::dispatch`]. A
+    /// client reading replies in order must never take that `Error`
+    /// for the answer to an earlier request.
+    fn answer_oversized(&mut self, token: u64) {
+        let Some(entry) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let state = &mut entry.state;
+        if state.in_flight || !state.pending.is_empty() {
+            return; // the completion that empties the queue calls again
+        }
+        let Some(n) = state.oversized.take() else {
+            return;
+        };
+        if !state.close_after_flush {
+            let resp = Response::Error(format!("frame of {n} bytes exceeds cap"));
+            state.outbox.push_frame(&encode_response(&resp));
+            state.close_after_flush = true;
+        }
     }
 
     /// Queues or dispatches one frame. Responses must leave in request
@@ -710,6 +732,7 @@ impl EventLoop {
                             break;
                         }
                     }
+                    self.answer_oversized(token);
                 }
                 None => {
                     // Killed worker: abort without a reply.

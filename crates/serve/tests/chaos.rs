@@ -430,6 +430,60 @@ fn shed_at_pop_answers_every_pipelined_frame() {
     server.shutdown();
 }
 
+/// An over-cap frame header pipelined behind a pool request is answered
+/// in its turn: the scan's `Cells` first, then the cap's `Error`, then
+/// EOF. Answering the header at once would put the `Error` where the
+/// client expects the scan's reply.
+#[test]
+fn oversized_frame_behind_a_pool_request_is_answered_in_order() {
+    let _serial = serial();
+    let config = ServerConfig {
+        worker_threads: 1,
+        read_timeout: Duration::from_millis(25),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+
+    reset();
+    // Hold the scan on its worker, so the oversized header arrives while
+    // the scan is in flight.
+    configure(
+        "serve.worker.kill",
+        Trigger::NthHit {
+            n: 1,
+            action: FaultAction::Delay(Duration::from_millis(300)),
+        },
+    );
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut burst = framed(&pool_request());
+    burst.extend_from_slice(&(1u32 << 30).to_le_bytes());
+    use std::io::Write;
+    stream.write_all(&burst).unwrap();
+
+    let reply = read_frame(&mut stream, 1 << 20).unwrap();
+    match decode_response(&reply).unwrap() {
+        Response::Cells(_) => {}
+        other => panic!("the scan must be answered first, got {other:?}"),
+    }
+    let reply = read_frame(&mut stream, 1 << 20).unwrap();
+    match decode_response(&reply).unwrap() {
+        Response::Error(msg) => assert!(msg.contains("exceeds cap"), "{msg}"),
+        other => panic!("the oversized frame must get its Error second, got {other:?}"),
+    }
+    match read_frame(&mut stream, 1 << 20) {
+        Err(ProtoError::ConnectionClosed) => {}
+        other => panic!("the connection must close after the Error, got {other:?}"),
+    }
+    assert_eq!(stats("serve.worker.kill").fired, 1);
+    assert!(server.metrics().snapshot().malformed_frames >= 1);
+    reset();
+    server.shutdown();
+}
+
 /// A kill fault must not leak its admission slot: after many kills, the
 /// server still admits new connections (the `AdmitGuard` contract).
 #[test]

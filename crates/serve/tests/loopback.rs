@@ -598,6 +598,9 @@ fn batched_requests_equal_single_requests() {
 /// under traffic, and the gauge returns to zero when the peer leaves.
 /// `Ping` runs inline on the loop and rings no eventfd, so one
 /// pool-class scan goes first: its completion is the wakeup counted.
+/// `STATS` is pool-class too, so its snapshot can be taken before the
+/// loop has consumed the scan's eventfd; the report is re-read until
+/// the wakeup shows, within a deadline.
 #[test]
 fn reactor_core_event_counters_are_live() {
     let mut server = Server::start(sample_inventory(50), "127.0.0.1:0", test_config()).unwrap();
@@ -606,7 +609,12 @@ fn reactor_core_event_counters_are_live() {
         client.ping().unwrap();
     }
     client.bbox_scan(-10.0, -10.0, 10.0, 10.0).unwrap();
-    let report = client.stats().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let mut report = client.stats().unwrap();
+    while report.wakeups == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        report = client.stats().unwrap();
+    }
     assert_eq!(report.open_connections, 1);
     assert!(report.peak_connections >= 1);
     assert!(report.ready_events > 0, "no readiness events recorded");
